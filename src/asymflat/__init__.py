@@ -38,6 +38,7 @@ from .invariants import (
     extrapolate,
     gbc_center,
     gbc_mass,
+    gbc_mass_center,
     sphere_rule,
 )
 from .parity import decay_rate, parity_split, rt_check
@@ -52,7 +53,7 @@ __all__ = [
     "make_schwarzschild", "riemann",
     "GBCContext", "l_k", "lovelock", "p_k", "ricci", "scal",
     "InvariantResult", "adm_mass_coordinate", "curvature_center",
-    "extrapolate", "gbc_center", "gbc_mass", "sphere_rule",
+    "extrapolate", "gbc_center", "gbc_mass", "gbc_mass_center", "sphere_rule",
     "decay_rate", "parity_split", "rt_check",
     "invariance_report", "make_diffeo", "pullback_metric",
     "__version__",

@@ -19,11 +19,9 @@ from .fields import ChartError, MetricField, RadialPoly, TensorRadialPoly
 from .gbc import GBCContext
 from .invariants import (
     InvariantResult,
-    _raw_center_curve,
-    _raw_mass_curve,
+    _raw_flux_curves,
     calibration_constants,
     extrapolate,
-    mass_prefactor,
 )
 
 __all__ = [
@@ -352,11 +350,12 @@ def invariance_report(g: MetricField, phi: Diffeo, ctx: GBCContext, radii,
     gp = pullback_metric(phi, g)
     radii = [float(r) for r in radii]
     reports = []
-    pref = mass_prefactor(ctx.n)
     cal = calibration_constants(ctx.n, ctx.k)
 
-    curve_g = _raw_mass_curve(g, ctx, radii, level)
-    curve_p = _raw_mass_curve(gp, ctx, radii, level)
+    # one pass per radius gives the mass and, when asked, every center axis
+    curves_g = _raw_flux_curves(g, ctx, radii, level, center=include_center)
+    curves_p = _raw_flux_curves(gp, ctx, radii, level, center=include_center)
+    curve_g, curve_p = curves_g[0], curves_p[0]
     a = cal["a"]
     rows = [(r, a * vg, a * vp, a * (vp - vg))
             for (r, vg), (_, vp) in zip(curve_g, curve_p)]
@@ -372,9 +371,7 @@ def invariance_report(g: MetricField, phi: Diffeo, ctx: GBCContext, radii,
     if include_center:
         mk_g, mk_p = a * lim_g, a * lim_p
         c = cal["c"]
-        for axis in range(ctx.n):
-            cg = _raw_center_curve(g, ctx, radii, level, axis)
-            cp = _raw_center_curve(gp, ctx, radii, level, axis)
+        for axis, (cg, cp) in enumerate(zip(curves_g[1:], curves_p[1:])):
             vg = c * extrapolate(cg, step=step)[0] / mk_g ** ctx.k
             vp = c * extrapolate(cp, step=step)[0] / mk_p ** ctx.k
             rows = [(r, c * a_ / mk_g ** ctx.k, c * b_ / mk_p ** ctx.k,

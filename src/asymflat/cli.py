@@ -29,7 +29,7 @@ from .chartchange import (
 from .fields import EuclideanMetric, make_rt_perturbation, make_schwarzschild
 from .gbc import GBCContext
 from .identities import identity_suite
-from .invariants import curvature_center, gbc_center, gbc_mass
+from .invariants import curvature_center, gbc_center, gbc_mass, gbc_mass_center
 from .parity import rt_check
 
 __all__ = ["main"]
@@ -229,8 +229,7 @@ def cmd_curvcenter(cfg: dict) -> int:
     radii = parse_radii(cfg["radii"])
     step = None if cfg["step"] is None else float(cfg["step"])
     level = int(cfg["level"])
-    mass = gbc_mass(g, ctx, radii, level=level, step=step)
-    centers = gbc_center(g, ctx, radii, level=level, mass=mass, step=step)
+    mass, centers = gbc_mass_center(g, ctx, radii, level=level, step=step)
     curv = curvature_center(g, ctx, radii, level=level, step=step)
     payload = {}
     print("axis   curvature-flux limit     ratio to (m_k)^k C^a")

@@ -25,7 +25,7 @@ from .dforms import (
     wedge,
 )
 from .fields import MetricField, RadialPoly, TensorRadialPoly
-from .multiindex import multi_indices
+from .multiindex import eval_cache
 
 __all__ = [
     "Connection",
@@ -61,8 +61,11 @@ __all__ = [
 
 def christoffel(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols Gamma^a_ij, shape (..., a, i, j)."""
-    G = g.eval(x)
-    d1 = g.d1(x)
+    return _christoffel_from_jets(g.eval(x), g.d1(x))
+
+
+def _christoffel_from_jets(G: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """Christoffel symbols from the metric values G and first partials d1."""
     Ginv = np.linalg.inv(G)
     # d1[..., k, i, j] = d_k g_ij
     lower = 0.5 * (np.einsum("...ijl->...lij", d1)
@@ -97,9 +100,12 @@ def _riemann_array(g: MetricField, x: np.ndarray) -> np.ndarray:
     The overall sign is fixed so that the round sphere has positive values on
     (e_i, e_j; e_i, e_j), i.e. R = (lambda/2) g owedge g with lambda > 0.
     """
-    G = g.eval(x)
-    d2 = g.d2(x)
-    gam = christoffel(g, x)
+    return _riemann_from_jets(g.eval(x), g.d1(x), g.d2(x))
+
+
+def _riemann_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Lowered curvature array from the metric jets G, d1, d2 (no field calls)."""
+    gam = _christoffel_from_jets(G, d1)
     # second-derivative part: 1/2 (d_i d_l g_jk + d_j d_k g_il - d_i d_k g_jl - d_j d_l g_ik)
     dd = 0.5 * (np.einsum("...iljk->...ijkl", d2) + np.einsum("...jkil->...ijkl", d2)
                 - np.einsum("...ikjl->...ijkl", d2) - np.einsum("...jlik->...ijkl", d2))
@@ -110,12 +116,8 @@ def _riemann_array(g: MetricField, x: np.ndarray) -> np.ndarray:
 
 def pack_22(arr: np.ndarray, n: int) -> DoubleForm:
     """Pack a 4-index array antisymmetric in (0,1) and (2,3) into a (2,2) form."""
-    idx = multi_indices(n, 2)
-    C = comb(n, 2)
-    comps = np.empty(arr.shape[:-4] + (C, C))
-    for a, (i, j) in enumerate(idx):
-        for b, (k, l) in enumerate(idx):
-            comps[..., a, b] = arr[..., i, j, k, l]
+    i, j = eval_cache(n, 2).T
+    comps = arr[..., i[:, None], j[:, None], i[None, :], j[None, :]]
     return DoubleForm(n, 2, 2, comps)
 
 
@@ -540,9 +542,7 @@ def riemann_jet(g: MetricField, x: np.ndarray, depth: int = 1) -> Jet:
     levels = [R.comps]
     if depth >= 1:
         covd = riemann_cov_d1(g, x)
-        levels.append(np.stack(
-            [pack_22(covd[..., m, :, :, :, :], g.n).comps for m in range(g.n)],
-            axis=-3))
+        levels.append(pack_22(covd, g.n).comps)
     if depth >= 2:
         raise ValueError("riemann_jet supports depth <= 1")
     return Jet(g.n, 2, 2, levels)

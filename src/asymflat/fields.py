@@ -268,12 +268,10 @@ def _radial_derivative_arrays(y: np.ndarray, f1, f2, f3):
 class SchwarzschildMetric(MetricField):
     """Generalized Schwarzschild metric (1 + m / (2 rho^(n/k-2)))^(4k/(n-2k)) delta.
 
-    `rho` is the Euclidean distance to `center` (an orthogonal change of frame
-    leaves the conformal factor invariant, so `rotation` only fixes the chart
-    convention).  Decay order is tau = n/k - 2.
+    `rho` is the Euclidean distance to `center`.  Decay order is tau = n/k - 2.
     """
 
-    def __init__(self, n: int, k: int, m: float, center=None, rotation=None,
+    def __init__(self, n: int, k: int, m: float, center=None,
                  r_min: float | None = None):
         if n <= 2 * k:
             raise ValueError(f"need n > 2k, got n={n}, k={k}")
@@ -281,12 +279,6 @@ class SchwarzschildMetric(MetricField):
         self.k = k
         self.m = float(m)
         self.center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-        if rotation is None:
-            rotation = np.eye(n)
-        rotation = np.asarray(rotation, dtype=float)
-        if not np.allclose(rotation @ rotation.T, np.eye(n), atol=1e-12):
-            raise ValueError("rotation must be orthogonal")
-        self.rotation = rotation
         self.s = n / k - 2.0
         self.t = 4.0 * k / (n - 2.0 * k)
         self.tau = self.s
@@ -507,8 +499,8 @@ class FDMetric(MetricField):
 
 # convenience constructors ---------------------------------------------------
 
-def make_schwarzschild(n: int, k: int, m: float, center=None, rotation=None) -> SchwarzschildMetric:
-    return SchwarzschildMetric(n, k, m, center=center, rotation=rotation)
+def make_schwarzschild(n: int, k: int, m: float, center=None) -> SchwarzschildMetric:
+    return SchwarzschildMetric(n, k, m, center=center)
 
 
 def make_rt_perturbation(n: int, tau: float, seed: int = 0, parity: str = "even",

@@ -12,16 +12,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
 
 from .dforms import DoubleForm, coform, hodge, wedge, wedge_power
-from .curvature import d_right_comps, riemann
+from .curvature import _riemann_from_jets, d_right_comps, pack_22, riemann
 from .fields import MetricField
-from .gbc import GBCContext
+from .gbc import GBCContext, lovelock
+from .kernels import center_kernel, mass_kernel
 
 __all__ = [
     "SphereRule",
@@ -39,6 +40,7 @@ __all__ = [
     "gbc_mass",
     "adm_mass_coordinate",
     "gbc_center",
+    "gbc_mass_center",
     "curvature_center",
     "CALIBRATION",
     "calibration_constants",
@@ -110,24 +112,65 @@ def sphere_rule(n: int, r: float, level: int) -> SphereRule:
     return SphereRule(n, float(r), points, weights, normals)
 
 
-def integrate_sphere(rule: SphereRule, f, chunk: int = 2048) -> float:
-    """Deterministic chunked quadrature with compensated final summation."""
+def integrate_sphere(rule: SphereRule, f, chunk: int = 2048):
+    """Deterministic chunked quadrature with compensated final summation.
+
+    `f(xs, nus)` returns one value per node, or a row of values per node for
+    a vector integrand; each component is summed with `math.fsum`.  Returns
+    a float, or an array of the integrand's trailing shape.
+    """
     partials = []
     N = rule.points.shape[0]
     for s in range(0, N, chunk):
         xs = rule.points[s:s + chunk]
         nus = rule.normals[s:s + chunk]
         vals = np.asarray(f(xs, nus), dtype=float)
-        partials.extend((rule.weights[s:s + chunk] * vals).tolist())
-    return math.fsum(partials)
+        w = rule.weights[s:s + chunk]
+        partials.append(w.reshape(w.shape + (1,) * (vals.ndim - 1)) * vals)
+    terms = np.concatenate(partials)
+    if terms.ndim == 1:
+        return math.fsum(terms.tolist())
+    sums = [math.fsum(col) for col in terms.reshape(N, -1).T.tolist()]
+    return np.array(sums).reshape(terms.shape[1:])
 
 
 # ---------------------------------------------------------------------------
 # flux integrands
 # ---------------------------------------------------------------------------
 
+def _flux_integrands(g: MetricField, x: np.ndarray, nu: np.ndarray,
+                     ctx: GBCContext, center: bool) -> np.ndarray:
+    """Mass flux scalar, then (when `center`) the n center fluxes, shape (..., 1 + n).
+
+    Each base metric jet is evaluated once per call; the folded kernels of
+    the `kernels` module replace the wedges, stars and pairings of the
+    dense reference `_flux_form` / `_center_form`.
+    """
+    n, k = ctx.n, ctx.k
+    x = np.asarray(x, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    g.check_chart(x)
+    batch = x.shape[:-1]
+    G = g.eval(x) if center or k >= 2 else None
+    d1 = g.d1(x)
+    if k == 1:
+        P = np.ones(batch + (1,))
+    else:
+        R = pack_22(_riemann_from_jets(G, d1, g.d2(x)), n)
+        P = (R if k == 2 else wedge_power(R, k - 1)).comps.reshape(batch + (-1,))
+    star = mass_kernel(n, k)(d1.reshape(batch + (-1,)), P)
+    mass = np.einsum("...i,...i->...", star, nu)
+    if not center:
+        return mass[..., None]
+    e = (G - np.eye(n)).reshape(batch + (-1,))
+    second = center_kernel(n, k)(e, P).reshape(batch + (n, n))
+    axes = x * mass[..., None] - np.einsum("...ai,...i->...a", second, nu)
+    return np.concatenate([mass[..., None], axes], axis=-1)
+
+
 def _flux_form(g: MetricField, x: np.ndarray, ctx: GBCContext) -> DoubleForm:
-    """The (n-1, n) double form D~e owedge R^{k-1} owedge b^{n-2k} at x."""
+    """The (n-1, n) double form D~e owedge R^{k-1} owedge b^{n-2k} at x
+    (dense reference of the folded mass kernel)."""
     n, k = ctx.n, ctx.k
     x = np.asarray(x, dtype=float)
     g.check_chart(x)
@@ -146,14 +189,12 @@ def _pair_normal(form_1_0: DoubleForm, nu: np.ndarray) -> np.ndarray:
 def mass_integrand(g: MetricField, x: np.ndarray, nu: np.ndarray,
                    ctx: GBCContext) -> np.ndarray:
     """Flux scalar <*(D~e owedge R^{k-1} owedge b^{n-2k}), nu> (all flat)."""
-    omega = _flux_form(g, x, ctx)
-    star = hodge(omega)
-    return _pair_normal(star, np.asarray(nu, dtype=float))
+    return _flux_integrands(g, x, nu, ctx, center=False)[..., 0]
 
 
 def mass_integrand_alt(g: MetricField, x: np.ndarray, nu: np.ndarray,
                        ctx: GBCContext) -> np.ndarray:
-    """Same flux via the pairing of the right block against the volume coform.
+    """Dense reference: the flux via the right block against the volume coform.
 
     The (n-1, n) flux form factors as phi tensor dvol~; pairing with dvol~
     leaves the (n-1)-form phi whose sphere integral is the flux integral.
@@ -195,31 +236,39 @@ def _center_form(g: MetricField, x: np.ndarray, ctx: GBCContext,
 
 
 def center_integrand(g: MetricField, x: np.ndarray, nu: np.ndarray,
-                     ctx: GBCContext, axis: int) -> np.ndarray:
-    """Two-term flux *(x^i D~e owedge W - D~x^i owedge e owedge W)(nu), W = R^{k-1} owedge b^{n-2k}."""
-    x = np.asarray(x, dtype=float)
-    total = DoubleForm(ctx.n, ctx.n - 1, ctx.n, _center_form(g, x, ctx, axis))
-    return _pair_normal(hodge(total), np.asarray(nu, dtype=float))
+                     ctx: GBCContext, axis: int | None = None) -> np.ndarray:
+    """Two-term flux *(x^i D~e owedge W - D~x^i owedge e owedge W)(nu), W = R^{k-1} owedge b^{n-2k}.
+
+    All n axes from one pass, shape (..., n); `axis` selects one of them.
+    """
+    axes = _flux_integrands(g, x, nu, ctx, center=True)[..., 1:]
+    return axes if axis is None else axes[..., axis]
 
 
 def center_integrand_alt(g: MetricField, x: np.ndarray, nu: np.ndarray,
                          ctx: GBCContext, axis: int) -> np.ndarray:
-    """Alternative pairing of the center flux against the volume coform."""
+    """Dense reference: pairing of the center flux against the volume coform."""
     x = np.asarray(x, dtype=float)
     phi = DoubleForm(ctx.n, ctx.n - 1, 0, _center_form(g, x, ctx, axis))
     return _pair_normal(hodge(phi), np.asarray(nu, dtype=float))
 
 
 def curvature_center_integrand(g: MetricField, x: np.ndarray, nu: np.ndarray,
-                               ctx: GBCContext, axis: int) -> np.ndarray:
-    """T_k(X^{(alpha)}, nu) with X^{(alpha)} = r^2 d_alpha - 2 x^alpha r d_r."""
-    from .gbc import lovelock
+                               ctx: GBCContext, axis: int | None = None) -> np.ndarray:
+    """T_k(X^{(alpha)}, nu) with X^{(alpha)} = r^2 d_alpha - 2 x^alpha r d_r.
+
+    One Lovelock tensor per node serves all n fields: with v = T_k(., nu),
+    T_k(X^{(alpha)}, nu) = r^2 v_alpha - 2 x^alpha <x, v>.  Shape (..., n);
+    `axis` selects one field.
+    """
     x = np.asarray(x, dtype=float)
     g.check_chart(x)
     T = lovelock(g, x, ctx)
+    v = np.einsum("...ij,...j->...i", T.comps, np.asarray(nu, dtype=float))
     r2 = np.sum(x * x, axis=-1)
-    X = r2[..., None] * np.eye(ctx.n)[axis] - 2.0 * x[..., axis, None] * x
-    return np.einsum("...i,...ij,...j->...", X, T.comps, np.asarray(nu, dtype=float))
+    xv = np.einsum("...i,...i->...", x, v)
+    out = r2[..., None] * v - 2.0 * xv[..., None] * x
+    return out if axis is None else out[..., axis]
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +344,34 @@ class InvariantResult:
 
 
 def _adaptive_integral(n: int, r: float, level: int, f,
-                       rtol: float = 1e-8, max_refinements: int = 3) -> float:
-    """Sphere integral refined (1.5x nodes per angle) until stable or capped."""
+                       rtol: float = 1e-8, max_refinements: int = 3):
+    """Sphere integral refined (1.5x nodes per angle) until stable or capped.
+
+    A vector integrand refines until every component is stable.
+    """
     val = integrate_sphere(sphere_rule(n, r, level), f)
     for _ in range(max_refinements):
         level += max(2, level // 2)
         new = integrate_sphere(sphere_rule(n, r, level), f)
-        if abs(new - val) <= rtol * max(abs(new), 1.0):
+        if np.all(np.abs(new - val) <= rtol * np.maximum(np.abs(new), 1.0)):
             return new
         val = new
     return val
+
+
+def _curves(g: MetricField, n: int, radii, level: int, integrand,
+            scale: float = 1.0, **kwargs) -> list:
+    """[(r, scale * sphere integral)] curves, one per integrand component.
+
+    `integrand(g, xs, nus, **kwargs)` is integrated once per radius for all
+    of its components.
+    """
+    rows = []
+    for r in radii:
+        f = partial(integrand, g, **kwargs)
+        rows.append(np.atleast_1d(scale * _adaptive_integral(n, r, level, f)))
+    return [[(float(r), float(v[c])) for r, v in zip(radii, rows)]
+            for c in range(rows[0].size)]
 
 
 def _flag_convergence(limit: float, residual: float, per_radius: list) -> bool:
@@ -351,15 +418,60 @@ def mass_prefactor(n: int) -> float:
     return (-1.0) ** n / (2.0 * math.factorial(n - 1) * sphere_volume(n))
 
 
+def _raw_flux_curves(g: MetricField, ctx: GBCContext, radii, level: int,
+                     center: bool = True) -> list:
+    """Prefactored raw curves of the mass, then of the n center axes.
+
+    One flux evaluation per node serves the mass and every axis.
+    """
+    return _curves(g, ctx.n, radii, level, _flux_integrands,
+                   mass_prefactor(ctx.n), ctx=ctx, center=center)
+
+
 def _raw_mass_curve(g: MetricField, ctx: GBCContext, radii, level: int) -> list:
-    pref = mass_prefactor(ctx.n)
-    out = []
-    for r in radii:
-        val = _adaptive_integral(
-            ctx.n, r, level,
-            lambda xs, nus: mass_integrand(g, xs, nus, ctx))
-        out.append((float(r), pref * val))
-    return out
+    return _raw_flux_curves(g, ctx, radii, level, center=False)[0]
+
+
+def _raw_center_curve(g: MetricField, ctx: GBCContext, radii, level: int,
+                      axis: int) -> list:
+    return _raw_flux_curves(g, ctx, radii, level)[1 + axis]
+
+
+def _check_mass(g: MetricField, ctx: GBCContext) -> None:
+    if ctx.n < 2 * ctx.k + 1:
+        raise ValueError("mass needs n >= 2k + 1")
+    threshold = (ctx.n - 2 * ctx.k) / (ctx.k + 1.0)
+    if g.tau <= threshold:
+        warnings.warn(
+            f"decay order tau={g.tau} at or below the mass threshold "
+            f"(n-2k)/(k+1)={threshold:.4g}; the limit may not exist",
+            stacklevel=3)
+
+
+def _mass_result(per_radius: list, ctx: GBCContext, step: float | None,
+                 calibrated: bool = True) -> InvariantResult:
+    limit, s, resid = extrapolate(per_radius, step=step)
+    a = calibration_constants(ctx.n, ctx.k)["a"] if calibrated else 1.0
+    return InvariantResult(per_radius, a * limit, s, abs(a) * resid,
+                           constant_used=a,
+                           converged=_flag_convergence(limit, resid, per_radius))
+
+
+def _center_results(curves: list, ctx: GBCContext, mass: InvariantResult,
+                    step: float | None) -> list[InvariantResult]:
+    mk = mass.limit
+    if abs(mk) < 1e-12:
+        raise ValueError("center of mass undefined: vanishing mass")
+    c = calibration_constants(ctx.n, ctx.k)["c"]
+    denom = mk ** ctx.k
+    results = []
+    for per_radius in curves:
+        limit, s, resid = extrapolate(per_radius, step=step)
+        results.append(InvariantResult(
+            per_radius, c * limit / denom, s, abs(c) * resid / abs(denom),
+            constant_used=c,
+            converged=_flag_convergence(limit, resid, per_radius)))
+    return results
 
 
 def gbc_mass(g: MetricField, ctx: GBCContext, radii, level: int = 8,
@@ -371,76 +483,51 @@ def gbc_mass(g: MetricField, ctx: GBCContext, radii, level: int = 8,
     asymptotic expansion of the metric is known (for example 1/k for the
     generalized Schwarzschild family); by default the spacing is profiled.
     """
-    if ctx.n < 2 * ctx.k + 1:
-        raise ValueError("mass needs n >= 2k + 1")
-    threshold = (ctx.n - 2 * ctx.k) / (ctx.k + 1.0)
-    if g.tau <= threshold:
-        warnings.warn(
-            f"decay order tau={g.tau} at or below the mass threshold "
-            f"(n-2k)/(k+1)={threshold:.4g}; the limit may not exist",
-            stacklevel=2)
-    per_radius = _raw_mass_curve(g, ctx, radii, level)
-    limit, s, resid = extrapolate(per_radius, step=step)
-    a = calibration_constants(ctx.n, ctx.k)["a"] if calibrated else 1.0
-    return InvariantResult(per_radius, a * limit, s, abs(a) * resid,
-                           constant_used=a,
-                           converged=_flag_convergence(limit, resid, per_radius))
+    _check_mass(g, ctx)
+    return _mass_result(_raw_mass_curve(g, ctx, radii, level), ctx, step,
+                        calibrated)
 
 
 def adm_mass_coordinate(g: MetricField, radii, level: int = 8) -> InvariantResult:
     """ADM mass from the coordinate integrand; an independent k=1 oracle."""
     n = g.n
     pref = 1.0 / (2.0 * (n - 1) * sphere_volume(n))
-    per_radius = []
-    for r in radii:
-        val = _adaptive_integral(
-            n, r, level, lambda xs, nus: adm_integrand_coordinate(g, xs, nus))
-        per_radius.append((float(r), pref * val))
+    per_radius = _curves(g, n, radii, level, adm_integrand_coordinate, pref)[0]
     limit, s, resid = extrapolate(per_radius)
     return InvariantResult(per_radius, limit, s, resid,
                            converged=_flag_convergence(limit, resid, per_radius))
 
 
-def _raw_center_curve(g: MetricField, ctx: GBCContext, radii, level: int,
-                      axis: int) -> list:
-    pref = mass_prefactor(ctx.n)
-    out = []
-    for r in radii:
-        val = _adaptive_integral(
-            ctx.n, r, level,
-            lambda xs, nus: center_integrand(g, xs, nus, ctx, axis))
-        out.append((float(r), pref * val))
-    return out
+def gbc_mass_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
+                    step: float | None = None
+                    ) -> tuple[InvariantResult, list[InvariantResult]]:
+    """The mass m_k and the per-axis center C^i from one pass per radius."""
+    _check_mass(g, ctx)
+    curves = _raw_flux_curves(g, ctx, radii, level)
+    mass = _mass_result(curves[0], ctx, step)
+    return mass, _center_results(curves[1:], ctx, mass, step)
 
 
 def gbc_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
                mass: InvariantResult | None = None,
                step: float | None = None) -> list[InvariantResult]:
-    """Per-axis center of mass C^i = c_{n,k} (raw limit)_i / (m_k)^k."""
+    """Per-axis center of mass C^i = c_{n,k} (raw limit)_i / (m_k)^k.
+
+    Every axis comes from one pass per radius, and so does the mass when
+    `mass` is not given.
+    """
     if mass is None:
-        mass = gbc_mass(g, ctx, radii, level, step=step)
-    mk = mass.limit
-    if abs(mk) < 1e-12:
-        raise ValueError("center of mass undefined: vanishing mass")
-    c = calibration_constants(ctx.n, ctx.k)["c"]
-    results = []
-    for axis in range(ctx.n):
-        per_radius = _raw_center_curve(g, ctx, radii, level, axis)
-        limit, s, resid = extrapolate(per_radius, step=step)
-        denom = mk ** ctx.k
-        results.append(InvariantResult(
-            per_radius, c * limit / denom, s, abs(c) * resid / abs(denom),
-            constant_used=c,
-            converged=_flag_convergence(limit, resid, per_radius)))
-    return results
+        return gbc_mass_center(g, ctx, radii, level, step)[1]
+    return _center_results(_raw_flux_curves(g, ctx, radii, level)[1:], ctx,
+                           mass, step)
 
 
 def curvature_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
                      step: float | None = None) -> list[InvariantResult]:
     """Per-axis limits of the Lovelock flux against the conformal Killing fields."""
     results = []
-    for axis in range(ctx.n):
-        per_radius = _curv_curve(g, ctx, radii, level, axis)
+    for per_radius in _curves(g, ctx.n, radii, level,
+                              curvature_center_integrand, ctx=ctx):
         limit, s, resid = extrapolate(per_radius, step=step)
         results.append(InvariantResult(
             per_radius, limit, s, resid,
@@ -473,9 +560,9 @@ def measure_calibration(n: int, k: int, radii=None, level: int = 8) -> dict[str,
     shift = np.zeros(n)
     shift[0] = 1.0
     gt = make_schwarzschild(n, k, 1.0, center=shift)
-    mass_t = extrapolate(_raw_mass_curve(gt, ctx, radii, level), step=step)[0] * a
-    raw_center = extrapolate(_raw_center_curve(gt, ctx, radii, level, 0),
-                             step=step)[0]
+    curves = _raw_flux_curves(gt, ctx, radii, level)
+    mass_t = extrapolate(curves[0], step=step)[0] * a
+    raw_center = extrapolate(curves[1], step=step)[0]
     c = mass_t ** k / raw_center
 
     cc = extrapolate(_curv_curve(gt, ctx, radii, level, 0), step=step)[0]
@@ -484,10 +571,5 @@ def measure_calibration(n: int, k: int, radii=None, level: int = 8) -> dict[str,
 
 
 def _curv_curve(g: MetricField, ctx: GBCContext, radii, level: int, axis: int):
-    out = []
-    for r in radii:
-        val = _adaptive_integral(
-            ctx.n, r, level,
-            lambda xs, nus: curvature_center_integrand(g, xs, nus, ctx, axis))
-        out.append((float(r), val))
-    return out
+    return _curves(g, ctx.n, radii, level, curvature_center_integrand,
+                   ctx=ctx)[axis]

@@ -1,8 +1,13 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from asymflat.curvature import (
     Connection,
+    _christoffel_from_jets,
+    _riemann_from_jets,
+    pack_22,
     PolynomialDoubleFormField,
     christoffel,
     christoffel_d1,
@@ -19,7 +24,7 @@ from asymflat.curvature import (
     riemann_jet,
 )
 from asymflat.dforms import DoubleForm, PointMetric, bianchi, contract, hodge, inner, transpose, wedge
-from asymflat.fields import EuclideanMetric, make_schwarzschild
+from asymflat.fields import EuclideanMetric, make_rt_perturbation, make_schwarzschild
 
 from conftest import RoundSphereChart
 
@@ -28,6 +33,25 @@ def test_christoffel_flat_is_zero():
     g = EuclideanMetric(3)
     x = np.ones((4, 3))
     assert np.abs(christoffel(g, x)).max() == 0.0
+
+
+def test_pack_22_matches_loop():
+    rng = np.random.default_rng(2)
+    arr = rng.standard_normal((3, 2, 5, 5, 5, 5))
+    ref = np.empty((3, 2, 10, 10))
+    for a, (i, j) in enumerate(combinations(range(5), 2)):
+        for b, (k, l) in enumerate(combinations(range(5), 2)):
+            ref[..., a, b] = arr[..., i, j, k, l]
+    assert np.array_equal(pack_22(arr, 5).comps, ref)
+
+
+def test_curvature_from_jets_matches_field_calls():
+    g = make_rt_perturbation(4, 1.0, seed=2, parity="mixed", amplitude=0.3)
+    x = np.array([[3.0, -1.0, 2.0, 0.5], [0.2, 4.0, -1.5, 2.5]])
+    G, d1, d2 = g.eval(x), g.d1(x), g.d2(x)
+    assert np.array_equal(_christoffel_from_jets(G, d1), christoffel(g, x))
+    assert np.array_equal(pack_22(_riemann_from_jets(G, d1, d2), 4).comps,
+                          riemann(g, x).comps)
 
 
 def test_christoffel_d1_matches_fd():
