@@ -181,20 +181,24 @@ def _phi_jets(phi: Diffeo, x: np.ndarray, depth: int) -> list[np.ndarray]:
     return J
 
 
-def _compose_jets(g: MetricField, phi: Diffeo, x: np.ndarray, depth: int):
-    """Partial derivatives of g pulled through Phi (Faa di Bruno to order 3)."""
-    y = phi.apply(x)
-    J1, J2, J3, *rest = _phi_jets(phi, x, 3)
+def _compose_jets(g: MetricField, y: np.ndarray, J: list[np.ndarray], depth: int):
+    """Partial derivatives of g pulled through Phi (Faa di Bruno to order 3).
+
+    `y` = Phi(x) and `J` the derivative arrays of Phi from `_phi_jets`; the
+    base metric is differentiated only to `depth`.
+    """
     G = [g.eval(y)]
-    gd1 = g.d1(y)
-    G.append(np.einsum("...cab,...kc->...kab", gd1, J1))
+    if depth >= 1:
+        gd1 = g.d1(y)
+        G.append(np.einsum("...cab,...kc->...kab", gd1, J[0]))
     if depth >= 2:
         gd2 = g.d2(y)
-        G.append(np.einsum("...cdab,...kc,...ld->...klab", gd2, J1, J1,
+        G.append(np.einsum("...cdab,...kc,...ld->...klab", gd2, J[0], J[0],
                            optimize=True)
-                 + np.einsum("...cab,...klc->...klab", gd1, J2))
+                 + np.einsum("...cab,...klc->...klab", gd1, J[1]))
     if depth >= 3:
         gd3 = g.d3(y)
+        J1, J2, J3 = J[:3]
         term = np.einsum("...cdeab,...kc,...ld,...me->...klmab",
                          gd3, J1, J1, J1, optimize=True)
         # second-derivative factor sits on (kl), (km), or (lm); build the
@@ -206,7 +210,7 @@ def _compose_jets(g: MetricField, phi: Diffeo, x: np.ndarray, depth: int):
         term = term + np.moveaxis(mixed, -3, -5)     # [l,m,k] placement (lm)
         term = term + np.einsum("...cab,...klmc->...klmab", gd1, J3)
         G.append(term)
-    return y, G
+    return G
 
 
 def _leibniz_terms(order: int, jets: list[list[np.ndarray]],
@@ -261,18 +265,18 @@ class PullbackMetric(MetricField):
         raise ChartError("pullback chart escapes the base chart at all sampled radii")
 
     def _jets(self, x: np.ndarray, depth: int):
-        phi = self.phi
+        """Partials of Phi* g to `depth`; Phi is differentiated once, to
+        order depth + 1, and g to order depth."""
         x = np.asarray(x, dtype=float)
         self.check_chart(x)
-        y, G = _compose_jets(self.base, phi, x, depth)
+        y = self.phi.apply(x)
         self.base.check_chart(y)
-        Js = _phi_jets(phi, x, depth)
-        jets_J = [Js[m] for m in range(depth + 1)]
+        J = _phi_jets(self.phi, x, depth)
+        G = _compose_jets(self.base, y, J, depth)
+        jets_J = J[:depth + 1]
         jets = [jets_J, G, jets_J]
-        out = []
-        for m in range(depth + 1):
-            out.append(_leibniz_terms(m, jets, ["ia", "ab", "jb"], "ij"))
-        return out
+        return [_leibniz_terms(m, jets, ["ia", "ab", "jb"], "ij")
+                for m in range(depth + 1)]
 
     def eval(self, x):
         return self._jets(x, 0)[0]

@@ -1,11 +1,18 @@
 """Connection, curvature, and field-level double-form operators.
 
-Field-level objects are handled as covariant jets: a list [F, DF, DDF] whose
-m-th entry carries m leading covariant-derivative axes in front of the
-compressed component axes.  The exterior derivatives insert a derivative
-index into a block by antisymmetrization, which is a natural operation on
-covariant tensors, so jets push through all operators without extra
-correction terms.
+Covariant jets are the one derivative path for double-form fields: a jet is
+a list [F, nabla F, nabla nabla F] whose m-th entry carries m leading
+covariant-derivative axes in front of the compressed component axes.
+`jet_from_partials` builds it from plain partials and Christoffel symbols.
+The exterior derivatives insert the last derivative index into a block by
+one signed contraction against the interior-product table; the Hodge star
+commutes with the Levi-Civita derivative and the Bianchi maps have constant
+coefficients, so both act level by level.  `ext_deriv` and `codiff` are
+these operators on a field's first-order jet.
+
+Curvature consumers evaluate each metric partial once per call and build
+Christoffel symbols, Riemann and their derivatives from those arrays with
+the private `_..._from_jets` helpers.
 """
 
 from __future__ import annotations
@@ -17,15 +24,13 @@ import numpy as np
 from .dforms import (
     DoubleForm,
     PointMetric,
-    coform,
     derivation_action,
-    form,
     hodge,
     metric_form,
     wedge,
 )
 from .fields import MetricField, RadialPoly, TensorRadialPoly
-from .multiindex import eval_cache
+from .multiindex import eval_cache, interior_tensor
 
 __all__ = [
     "Connection",
@@ -76,9 +81,11 @@ def _christoffel_from_jets(G: np.ndarray, d1: np.ndarray) -> np.ndarray:
 
 def christoffel_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Partial derivatives d_k Gamma^a_ij, shape (..., k, a, i, j)."""
-    G = g.eval(x)
-    d1 = g.d1(x)
-    d2 = g.d2(x)
+    return _christoffel_d1_from_jets(g.eval(x), g.d1(x), g.d2(x))
+
+
+def _christoffel_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Christoffel partials from the metric values and first two partials."""
     Ginv = np.linalg.inv(G)
     dGinv = -np.einsum("...am,...kmn,...nl->...kal", Ginv, d1, Ginv)
     lower = 0.5 * (np.einsum("...ijl->...lij", d1)
@@ -128,11 +135,15 @@ def riemann(g: MetricField, x: np.ndarray) -> DoubleForm:
 
 def riemann_partial_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Plain partial derivatives d_m R[i,j,k,l], shape (..., m, n, n, n, n)."""
-    G = g.eval(x)
-    d1 = g.d1(x)
-    d3 = g.d3(x)
-    gam = christoffel(g, x)
-    dgam = christoffel_d1(g, x)
+    G, d1 = g.eval(x), g.d1(x)
+    return _riemann_partial_d1_from_jets(G, d1, g.d2(x), g.d3(x),
+                                         _christoffel_from_jets(G, d1))
+
+
+def _riemann_partial_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                                  d3: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """Riemann partials from the metric jets and the Christoffel symbols gam."""
+    dgam = _christoffel_d1_from_jets(G, d1, d2)
     ddd = 0.5 * (np.einsum("...miljk->...mijkl", d3) + np.einsum("...mjkil->...mijkl", d3)
                  - np.einsum("...mikjl->...mijkl", d3) - np.einsum("...mjlik->...mijkl", d3))
     quad = (np.einsum("...mab,...ail,...bjk->...mijkl", d1, gam, gam)
@@ -146,9 +157,15 @@ def riemann_partial_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
 
 def riemann_cov_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Covariant derivative (nabla_m R)[i,j,k,l], shape (..., m, n, n, n, n)."""
-    dR = riemann_partial_d1(g, x)
-    R = _riemann_array(g, x)
-    gam = christoffel(g, x)
+    G, d1, d2 = g.eval(x), g.d1(x), g.d2(x)
+    return _riemann_cov_d1_from_jets(G, d1, d2, g.d3(x), _riemann_from_jets(G, d1, d2))
+
+
+def _riemann_cov_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                              d3: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """nabla R from the metric jets and the lowered curvature array R."""
+    gam = _christoffel_from_jets(G, d1)
+    dR = _riemann_partial_d1_from_jets(G, d1, d2, d3, gam)
     corr = (np.einsum("...ami,...ajkl->...mijkl", gam, R)
             + np.einsum("...amj,...iakl->...mijkl", gam, R)
             + np.einsum("...amk,...ijal->...mijkl", gam, R)
@@ -275,25 +292,22 @@ def hess_flat(V_d2: np.ndarray, n: int) -> DoubleForm:
 def d_left_comps(n: int, p: int, q: int, covd: np.ndarray) -> DoubleForm:
     """Left exterior derivative from the covariant derivative array.
 
-    `covd` has shape (..., n, Cp, Cq) with the derivative axis first;
-    the result is -sum_k dx^k owedge covd[k].
+    `covd` has shape (..., n, Cp, Cq) with the derivative axis first; the
+    result is -sum_k dx^k owedge covd[k], one signed contraction against
+    the interior-product table of degree p + 1.
     """
-    out = None
-    eye = np.eye(n)
-    for k in range(n):
-        term = wedge(form(n, eye[k]), DoubleForm(n, p, q, covd[..., k, :, :]))
-        out = term if out is None else out + term
-    return -1.0 * out
+    T = interior_tensor(n, p + 1)  # T[k, I', I]: sign of dx^k owedge dx^I' on dx^I
+    return DoubleForm(n, p + 1, q, -np.einsum("kAI,...kAJ->...IJ", T, covd))
 
 
 def d_right_comps(n: int, p: int, q: int, covd: np.ndarray) -> DoubleForm:
-    """Right exterior derivative: -sum_k covd[k] owedge dx~^k."""
-    out = None
-    eye = np.eye(n)
-    for k in range(n):
-        term = wedge(DoubleForm(n, p, q, covd[..., k, :, :]), coform(n, eye[k]))
-        out = term if out is None else out + term
-    return -1.0 * out
+    """Right exterior derivative: -sum_k covd[k] owedge dx~^k.
+
+    dx~^k sits behind the q right slots, hence the (-1)^q against the table.
+    """
+    T = interior_tensor(n, q + 1)
+    sign = -float((-1) ** q)
+    return DoubleForm(n, p, q + 1, sign * np.einsum("kBJ,...kIB->...IJ", T, covd))
 
 
 def _cov_d1_comps(comps: np.ndarray, partial: np.ndarray, gamma: np.ndarray | None,
@@ -301,27 +315,29 @@ def _cov_d1_comps(comps: np.ndarray, partial: np.ndarray, gamma: np.ndarray | No
     """nabla_k of compressed components from plain partials and Christoffels."""
     if gamma is None:
         return partial
-    corr = np.empty_like(partial)
-    for k in range(n):
-        A = gamma[..., :, k, :]  # A[m, i] = Gamma^m_{k i}
-        corr[..., k, :, :] = derivation_action(A, DoubleForm(n, p, q, comps)).comps
-    return partial - corr
+    A = np.moveaxis(gamma, -2, -3)  # A[..., k, m, i] = Gamma^m_{k i}
+    return partial - derivation_action(A, DoubleForm(n, p, q, comps[..., None, :, :])).comps
+
+
+def _first_jet(omega: DoubleFormField, x: np.ndarray, conn: Connection | None) -> Jet:
+    """Depth-1 covariant jet of a field at x in the connection `conn`."""
+    gamma = None if conn is None or conn.g is None else conn.christoffel(x)
+    return jet_from_partials(omega.n, omega.p, omega.q, omega.eval(x).comps,
+                             omega.d1(x), gamma=gamma)
+
+
+def _jet_d(a: Jet, side: str) -> Jet:
+    if side == "left":
+        return jet_d_left(a)
+    if side == "right":
+        return jet_d_right(a)
+    raise ValueError("side must be 'left' or 'right'")
 
 
 def ext_deriv(omega: DoubleFormField, x: np.ndarray, side: str = "left",
               conn: Connection | None = None) -> DoubleForm:
     """Exterior derivative of a double-form field at x (left or right)."""
-    conn = conn or Connection()
-    x = np.asarray(x, dtype=float)
-    comps = omega.eval(x).comps
-    partial = omega.d1(x)
-    gamma = None if conn.kind == "flat" else conn.christoffel(x)
-    covd = _cov_d1_comps(comps, partial, gamma, omega.n, omega.p, omega.q)
-    if side == "left":
-        return d_left_comps(omega.n, omega.p, omega.q, covd)
-    if side == "right":
-        return d_right_comps(omega.n, omega.p, omega.q, covd)
-    raise ValueError("side must be 'left' or 'right'")
+    return _jet_d(_first_jet(omega, np.asarray(x, dtype=float), conn), side).form()
 
 
 def codiff_sign(n: int, p: int, q: int, side: str) -> float:
@@ -335,58 +351,15 @@ def codiff(omega: DoubleFormField, x: np.ndarray, side: str = "left",
            conn: Connection | None = None, G: PointMetric | None = None) -> DoubleForm:
     """Divergence delta = -D^* with D^* the signed star-D-star composition.
 
-    With the flat connection the stars are Euclidean; with a Levi-Civita
-    connection pass the pointwise metric G so the stars match the connection.
+    With the flat connection the stars are Euclidean unless G is given; with
+    a Levi-Civita connection they default to its metric at x.  The star
+    commutes with the covariant derivative, so it acts on every jet level.
     """
-    conn = conn or Connection()
     x = np.asarray(x, dtype=float)
-    n, p, q = omega.n, omega.p, omega.q
-
-    star = DoubleFormField(
-        n, n - p, n - q,
-        lambda y: hodge(omega.eval(y), _metric_at(G, conn, y)).comps,
-        lambda y: _hodge_of_derivatives(omega, y, conn, G),
-    )
-    d_star = ext_deriv(star, x, side=side, conn=conn)
-    out = hodge(d_star, _metric_at(G, conn, x))
-    return -codiff_sign(n, p, q, side) * out
-
-
-def _metric_at(G: PointMetric | None, conn: Connection, x: np.ndarray) -> PointMetric | None:
-    if G is not None:
-        return G
-    if conn.kind == "flat":
-        return None
-    return PointMetric(conn.g.eval(x))
-
-
-def _hodge_of_derivatives(omega: DoubleFormField, x: np.ndarray, conn: Connection,
-                          G: PointMetric | None) -> np.ndarray:
-    """Covariant derivative of star(omega): star commutes with nabla.
-
-    Returned as the equivalent *partial*-derivative array so that ext_deriv
-    can re-apply its own connection correction and recover nabla(star omega).
-    """
-    n, p, q = omega.n, omega.p, omega.q
-    comps = omega.eval(x).comps
-    partial = omega.d1(x)
-    gamma = None if conn.kind == "flat" else conn.christoffel(x)
-    covd = _cov_d1_comps(comps, partial, gamma, n, p, q)
-    met = _metric_at(G, conn, x)
-    star_cov = np.stack(
-        [hodge(DoubleForm(n, p, q, covd[..., k, :, :]), met).comps for k in range(n)],
-        axis=-3,
-    )
-    if gamma is None:
-        return star_cov
-    # invert the correction that ext_deriv will apply to the starred field
-    star_comps = hodge(DoubleForm(n, p, q, comps), met).comps
-    corr = np.empty_like(star_cov)
-    for k in range(n):
-        A = gamma[..., :, k, :]
-        corr[..., k, :, :] = derivation_action(
-            A, DoubleForm(n, n - p, n - q, star_comps)).comps
-    return star_cov + corr
+    if G is None and conn is not None and conn.g is not None:
+        G = PointMetric(conn.g.eval(x))
+    d_star = _jet_d(jet_hodge(_first_jet(omega, x, conn), G), side)
+    return -codiff_sign(omega.n, omega.p, omega.q, side) * hodge(d_star.form(), G)
 
 
 # ---------------------------------------------------------------------------
@@ -425,24 +398,19 @@ def jet_from_partials(n: int, p: int, q: int, comps: np.ndarray,
             if gamma is None:
                 levels.append(partial2)
             else:
-                cov2 = np.empty_like(partial2)
-                for a in range(n):
-                    A_a = gamma[..., :, a, :]
-                    for b in range(n):
-                        # d_a (nabla_b omega) = dd omega - D(d_a Gamma_b) omega - D(Gamma_b) d_a omega
-                        Ab = gamma[..., :, b, :]
-                        dAb = dgamma[..., a, :, b, :]
-                        t = partial2[..., a, b, :, :]
-                        t = t - derivation_action(dAb, DoubleForm(n, p, q, comps)).comps
-                        t = t - derivation_action(
-                            Ab, DoubleForm(n, p, q, partial1[..., a, :, :])).comps
-                        # - Gamma^m_{ab} nabla_m omega
-                        t = t - np.einsum("...m,...mIJ->...IJ",
-                                          gamma[..., :, a, b], cov1)
-                        # - D(Gamma_a) nabla_b omega
-                        t = t - derivation_action(
-                            A_a, DoubleForm(n, p, q, cov1[..., b, :, :])).comps
-                        cov2[..., a, b, :, :] = t
+                # d_a (nabla_b w) = dd w - D(d_a Gamma_b) w - D(Gamma_b) d_a w,
+                # then nabla_a subtracts Gamma^m_ab nabla_m w and D(Gamma_a) nabla_b w
+                A = np.moveaxis(gamma, -2, -3)        # A[..., b, m, i] = Gamma^m_bi
+                dA = np.swapaxes(dgamma, -3, -2)      # dA[..., a, b, m, i] = d_a Gamma^m_bi
+
+                def act(M, w):
+                    return derivation_action(M, DoubleForm(n, p, q, w)).comps
+
+                cov2 = (partial2
+                        - act(dA, comps[..., None, None, :, :])
+                        - act(A[..., None, :, :, :], partial1[..., :, None, :, :])
+                        - np.einsum("...mab,...mIJ->...abIJ", gamma, cov1)
+                        - act(A[..., :, None, :, :], cov1[..., None, :, :, :]))
                 levels.append(cov2)
     return Jet(n, p, q, levels)
 
@@ -486,28 +454,21 @@ def jet_wedge(a: Jet, b: Jet) -> Jet:
 
 
 def jet_d_left(a: Jet) -> Jet:
-    """Left exterior derivative of a jet (loses one derivative level)."""
-    n = a.n
-    levels = []
-    for m in range(a.depth):
-        lv = a.levels[m + 1]
-        # the exterior-derivative index is the last derivative axis
-        levels.append(d_left_comps(n, a.p, a.q, lv).comps)
-    if not levels:
+    """Left exterior derivative of a jet (loses one derivative level).
+
+    The exterior-derivative index is the last derivative axis of each level.
+    """
+    if a.depth < 1:
         raise ValueError("jet depth too small for an exterior derivative")
-    return Jet(n, a.p + 1, a.q, levels)
+    return Jet(a.n, a.p + 1, a.q,
+               [d_left_comps(a.n, a.p, a.q, lv).comps for lv in a.levels[1:]])
 
 
 def jet_d_right(a: Jet) -> Jet:
-    n = a.n
-    levels = []
-    for m in range(a.depth):
-        lv = a.levels[m + 1]
-        out = d_right_comps(n, a.p, a.q, lv)
-        levels.append(out.comps)
-    if not levels:
+    if a.depth < 1:
         raise ValueError("jet depth too small for an exterior derivative")
-    return Jet(n, a.p, a.q + 1, levels)
+    return Jet(a.n, a.p, a.q + 1,
+               [d_right_comps(a.n, a.p, a.q, lv).comps for lv in a.levels[1:]])
 
 
 def jet_hodge(a: Jet, G: PointMetric | None = None) -> Jet:
@@ -537,12 +498,14 @@ def metric_jet(n: int, G: np.ndarray | None = None, depth: int = 1,
 
 
 def riemann_jet(g: MetricField, x: np.ndarray, depth: int = 1) -> Jet:
-    """Curvature of g at x as a jet (depth 0 or 1)."""
-    R = riemann(g, x)
-    levels = [R.comps]
-    if depth >= 1:
-        covd = riemann_cov_d1(g, x)
-        levels.append(pack_22(covd, g.n).comps)
+    """Curvature of g at x as a jet (depth 0 or 1); each metric jet is
+    evaluated once."""
     if depth >= 2:
         raise ValueError("riemann_jet supports depth <= 1")
+    G, d1, d2 = g.eval(x), g.d1(x), g.d2(x)
+    R = _riemann_from_jets(G, d1, d2)
+    levels = [pack_22(R, g.n).comps]
+    if depth >= 1:
+        covd = _riemann_cov_d1_from_jets(G, d1, d2, g.d3(x), R)
+        levels.append(pack_22(covd, g.n).comps)
     return Jet(g.n, 2, 2, levels)

@@ -242,27 +242,10 @@ class EuclideanMetric(MetricField):
         return np.zeros(x.shape[:-1] + (self.n,) * 5)
 
 
-def _radial_derivative_arrays(y: np.ndarray, f1, f2, f3):
-    """Spatial derivative tensors of a radial scalar F(|y|) to order 3.
-
-    f1, f2, f3 are arrays of the radial derivatives F', F'', F''' at |y|.
-    Returns (grad, hess, third) with all indices symmetric.
-    """
+def _radial_unit(y: np.ndarray):
+    """|y| and the unit vector y / |y|."""
     rho = np.linalg.norm(y, axis=-1)
-    u = y / rho[..., None]
-    n = y.shape[-1]
-    eye = np.eye(n)
-    uu = np.einsum("...i,...j->...ij", u, u)
-    grad = f1[..., None] * u
-    hess = f2[..., None, None] * uu + (f1 / rho)[..., None, None] * (eye - uu)
-    uuu = np.einsum("...ij,...k->...ijk", uu, u)
-    sym = (np.einsum("ij,...k->...ijk", eye, u)
-           + np.einsum("ik,...j->...ijk", eye, u)
-           + np.einsum("jk,...i->...ijk", eye, u))
-    third = (f3[..., None, None, None] * uuu
-             + (f2 / rho)[..., None, None, None] * (sym - 3.0 * uuu)
-             + (f1 / rho**2)[..., None, None, None] * (3.0 * uuu - sym))
-    return grad, hess, third
+    return rho, y / rho[..., None]
 
 
 class SchwarzschildMetric(MetricField):
@@ -314,20 +297,34 @@ class SchwarzschildMetric(MetricField):
         _, psi, *_ = self._factor_jets(x)
         return psi[..., None, None] * np.eye(self.n)
 
+    # d1/d2/d3: spatial derivatives of the radial factor F(|y|) built from
+    # the radial derivatives F', F'', F''' (f1, f2, f3), each only to its order
+
     def d1(self, x):
-        y, _, f1, f2, f3 = self._factor_jets(x)
-        grad, _, _ = _radial_derivative_arrays(y, f1, f2, f3)
-        return np.einsum("...k,ij->...kij", grad, np.eye(self.n))
+        y, _, f1, _, _ = self._factor_jets(x)
+        _, u = _radial_unit(y)
+        return np.einsum("...k,ij->...kij", f1[..., None] * u, np.eye(self.n))
 
     def d2(self, x):
-        y, _, f1, f2, f3 = self._factor_jets(x)
-        _, hess, _ = _radial_derivative_arrays(y, f1, f2, f3)
-        return np.einsum("...kl,ij->...klij", hess, np.eye(self.n))
+        y, _, f1, f2, _ = self._factor_jets(x)
+        rho, u = _radial_unit(y)
+        uu = np.einsum("...i,...j->...ij", u, u)
+        eye = np.eye(self.n)
+        hess = f2[..., None, None] * uu + (f1 / rho)[..., None, None] * (eye - uu)
+        return np.einsum("...kl,ij->...klij", hess, eye)
 
     def d3(self, x):
         y, _, f1, f2, f3 = self._factor_jets(x)
-        _, _, third = _radial_derivative_arrays(y, f1, f2, f3)
-        return np.einsum("...klm,ij->...klmij", third, np.eye(self.n))
+        rho, u = _radial_unit(y)
+        eye = np.eye(self.n)
+        uuu = np.einsum("...ij,...k->...ijk", np.einsum("...i,...j->...ij", u, u), u)
+        sym = (np.einsum("ij,...k->...ijk", eye, u)
+               + np.einsum("ik,...j->...ijk", eye, u)
+               + np.einsum("jk,...i->...ijk", eye, u))
+        third = (f3[..., None, None, None] * uuu
+                 + (f2 / rho)[..., None, None, None] * (sym - 3.0 * uuu)
+                 + (f1 / rho**2)[..., None, None, None] * (3.0 * uuu - sym))
+        return np.einsum("...klm,ij->...klmij", third, eye)
 
 
 class _RadialPolyMetric(MetricField):

@@ -23,14 +23,14 @@ from .dforms import (
 )
 from .curvature import (
     DoubleFormField,
-    Jet,
-    christoffel,
-    christoffel_d1,
+    _christoffel_d1_from_jets,
+    _christoffel_from_jets,
+    _riemann_from_jets,
     jet_add,
     jet_d_left,
     jet_d_right,
     jet_from_partials,
-    riemann,
+    pack_22,
 )
 from .fields import MetricField
 
@@ -73,9 +73,8 @@ class GBCContext:
 
 def _point_data(g: MetricField, x: np.ndarray):
     x = np.asarray(x, dtype=float)
-    G = PointMetric(g.eval(x))
-    R = riemann(g, x)
-    return G, R
+    G = g.eval(x)
+    return PointMetric(G), pack_22(_riemann_from_jets(G, g.d1(x), g.d2(x)), g.n)
 
 
 def l_k(g: MetricField, x: np.ndarray, ctx: GBCContext) -> np.ndarray:
@@ -131,30 +130,6 @@ def scal(g: MetricField, x: np.ndarray) -> np.ndarray:
     return contract(contract(R, G), G).comps[..., 0, 0]
 
 
-class _PerturbedMetric(MetricField):
-    """g + eps * h for a symmetric (1,1) field h with two derivatives."""
-
-    def __init__(self, g: MetricField, h: DoubleFormField, eps: float):
-        self.n = g.n
-        self.tau = g.tau
-        self.r_min = g.r_min
-        self.regularity = 2
-        self.g, self.h, self.eps = g, h, eps
-
-    def eval(self, x):
-        G = self.g.eval(x) + self.eps * self.h.eval(x).comps
-        eig = np.linalg.eigvalsh(G)
-        if np.any(eig <= 0):
-            raise ValueError("perturbed metric not positive-definite")
-        return G
-
-    def d1(self, x):
-        return self.g.d1(x) + self.eps * self.h.d1(x)
-
-    def d2(self, x):
-        return self.g.d2(x) + self.eps * self.h.d2(x)
-
-
 def variation_residual(g: MetricField, h: DoubleFormField, x: np.ndarray,
                        eps: float) -> DoubleForm:
     """R^{g+eps h} - R^g - (1/4)(D Dt + Dt D)(eps h), derivatives in the g-connection.
@@ -165,12 +140,14 @@ def variation_residual(g: MetricField, h: DoubleFormField, x: np.ndarray,
     is flat.
     """
     x = np.asarray(x, dtype=float)
-    R_pert = riemann(_PerturbedMetric(g, h, eps), x)
-    R_base = riemann(g, x)
-    gamma = christoffel(g, x)
-    dgamma = christoffel_d1(g, x)
-    jh = jet_from_partials(g.n, 1, 1, eps * h.eval(x).comps,
-                           eps * h.d1(x), eps * h.d2(x),
-                           gamma=gamma, dgamma=dgamma)
+    G, d1, d2 = g.eval(x), g.d1(x), g.d2(x)
+    h0, h1, h2 = eps * h.eval(x).comps, eps * h.d1(x), eps * h.d2(x)
+    if np.any(np.linalg.eigvalsh(G + h0) <= 0):
+        raise ValueError("perturbed metric not positive-definite")
+    R_pert = _riemann_from_jets(G + h0, d1 + h1, d2 + h2)
+    R_base = _riemann_from_jets(G, d1, d2)
+    jh = jet_from_partials(g.n, 1, 1, h0, h1, h2,
+                           gamma=_christoffel_from_jets(G, d1),
+                           dgamma=_christoffel_d1_from_jets(G, d1, d2))
     box = jet_add(jet_d_left(jet_d_right(jh)), jet_d_right(jet_d_left(jh)))
-    return R_pert - R_base - 0.25 * box.form()
+    return pack_22(R_pert - R_base, g.n) - 0.25 * box.form()

@@ -1,10 +1,11 @@
 """Sphere quadrature, asymptotic-invariant integrands, extrapolation to
-infinity, and the calibrated constants of the invariant family.
+infinity, and the normalizing constants of the invariant family.
 
 All stars, wedges, and exterior derivatives in the flux integrands are
-Euclidean; only the curvature form R = R^g carries the metric.  Calibration
-constants are measured once against the generalized Schwarzschild family and
-frozen in CALIBRATION below.
+Euclidean; only the curvature form R = R^g carries the metric.  The
+normalizing constants are closed forms (`calibration_constants`);
+`measure_calibration` re-measures them against the generalized
+Schwarzschild family.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "gbc_center",
     "gbc_mass_center",
     "curvature_center",
-    "CALIBRATION",
     "calibration_constants",
     "measure_calibration",
 ]
@@ -380,29 +380,19 @@ def _flag_convergence(limit: float, residual: float, per_radius: list) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# calibration table
+# calibration constants
 # ---------------------------------------------------------------------------
-
-# Measured against the generalized Schwarzschild family g_{S,k,m=1} with
-# dyadic radii 20 * 2^j, j = 0..7 (see measure_calibration for the
-# regeneration procedure) and frozen here.  "a" multiplies the mass after
-# the (-1)^n / (2 (n-1)! omega_{n-1}) prefactor; "c" normalizes the center;
-# "b" is the curvature-center ratio constant (reported, not applied).
-CALIBRATION: dict[tuple[int, int], dict[str, float]] = {
-    (3, 1): {"a": 1.0000000000, "c": 3.0000000035, "b": -100.5309649149},
-    (4, 1): {"a": 1.0000000000, "c": 2.0000003318, "b": -473.7410112523},
-    (5, 1): {"a": 1.0000000000, "c": 1.6663618420, "b": -1263.3093633393},
-    (5, 2): {"a": 0.9999998189, "c": 1.6666670430, "b": -5053.2174650384},
-}
-
 
 def calibration_constants(n: int, k: int) -> dict[str, float]:
     """Calibration constants (a, c, b) for the invariants at (n, k).
 
-    The measured table above identifies the closed forms a = 1,
-    c = n / (n - 2), and b = -2^(k+1) (n-1)! omega_{n-1} / (n-2k-1)! to the
-    accuracy of the measurement (see the tests); the closed forms are
-    returned so that every admissible (n, k) is covered.
+    "a" multiplies the mass after the (-1)^n / (2 (n-1)! omega_{n-1})
+    prefactor, "c" normalizes the center and "b" is the curvature-center
+    ratio constant (reported, not applied).  Values measured with
+    `measure_calibration` identify the closed forms a = 1, c = n / (n - 2)
+    and b = -2^(k+1) (n-1)! omega_{n-1} / (n-2k-1)! to the accuracy of the
+    measurement (the tests keep a frozen table of such measurements); the
+    closed forms cover every admissible (n, k).
     """
     if k < 1 or n < 2 * k + 1:
         raise ValueError(f"no calibration constants for (n, k) = ({n}, {k})")
@@ -448,10 +438,9 @@ def _check_mass(g: MetricField, ctx: GBCContext) -> None:
             stacklevel=3)
 
 
-def _mass_result(per_radius: list, ctx: GBCContext, step: float | None,
-                 calibrated: bool = True) -> InvariantResult:
+def _mass_result(per_radius: list, ctx: GBCContext, step: float | None) -> InvariantResult:
     limit, s, resid = extrapolate(per_radius, step=step)
-    a = calibration_constants(ctx.n, ctx.k)["a"] if calibrated else 1.0
+    a = calibration_constants(ctx.n, ctx.k)["a"]
     return InvariantResult(per_radius, a * limit, s, abs(a) * resid,
                            constant_used=a,
                            converged=_flag_convergence(limit, resid, per_radius))
@@ -475,17 +464,15 @@ def _center_results(curves: list, ctx: GBCContext, mass: InvariantResult,
 
 
 def gbc_mass(g: MetricField, ctx: GBCContext, radii, level: int = 8,
-             calibrated: bool = True,
              step: float | None = None) -> InvariantResult:
-    """Gauss-Bonnet-Chern mass m_k as an extrapolated, calibrated limit.
+    """Gauss-Bonnet-Chern mass m_k as an extrapolated, normalized limit.
 
     `step` fixes the decay-ladder spacing of the extrapolation when the
     asymptotic expansion of the metric is known (for example 1/k for the
     generalized Schwarzschild family); by default the spacing is profiled.
     """
     _check_mass(g, ctx)
-    return _mass_result(_raw_mass_curve(g, ctx, radii, level), ctx, step,
-                        calibrated)
+    return _mass_result(_raw_mass_curve(g, ctx, radii, level), ctx, step)
 
 
 def adm_mass_coordinate(g: MetricField, radii, level: int = 8) -> InvariantResult:

@@ -42,3 +42,28 @@ class RoundSphereChart(MetricField):
     def d2(self, x):
         x = np.asarray(x, dtype=float)
         return np.einsum("...kl,ij->...klij", self._psi(x, 2), np.eye(self.n))
+
+
+class CountingMetric(MetricField):
+    """A metric that delegates to `base` and counts its eval/d1/d2/d3 calls."""
+
+    def __init__(self, base: MetricField):
+        self.base = base
+        self.n, self.tau, self.r_min = base.n, base.tau, base.r_min
+        self.calls = dict.fromkeys(("eval", "d1", "d2", "d3"), 0)
+
+    def _call(self, name, x):
+        self.calls[name] += 1
+        return getattr(self.base, name)(x)
+
+    def eval(self, x):
+        return self._call("eval", x)
+
+    def d1(self, x):
+        return self._call("d1", x)
+
+    def d2(self, x):
+        return self._call("d2", x)
+
+    def d3(self, x):
+        return self._call("d3", x)

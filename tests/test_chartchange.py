@@ -13,6 +13,8 @@ from asymflat.chartchange import (
 from asymflat.fields import EuclideanMetric, make_schwarzschild
 from asymflat.gbc import GBCContext
 
+from conftest import CountingMetric
+
 RADII = [20.0 * 2**j for j in range(5)]
 
 
@@ -134,3 +136,27 @@ def test_invariance_report_serialization():
     d = invariance_report(g, phi, ctx, RADII[:3], level=4, step=1.0)[0].to_dict()
     assert {"quantity", "per_radius", "delta_limit", "drift_slope",
             "tolerance", "passed"} <= set(d)
+
+
+def test_pullback_differentiates_phi_and_base_only_as_deep_as_asked():
+    n = 3
+    phi = make_diffeo(Q=rotation(n, 2), w=np.array([0.3, 0.0, -0.2]),
+                      zeta=zeta_harmonic(n, 0.2, 1.6), tau_prime=1.6, n=n)
+    orders = []
+    zeta_jet = phi.zeta_jet
+
+    def recording(x, order):
+        orders.append(order)
+        return zeta_jet(x, order)
+
+    phi.zeta_jet = recording
+    base = CountingMetric(make_schwarzschild(n, 1, 1.0))
+    gp = pullback_metric(phi, base)
+    x = np.array([[30.0, -10.0, 20.0], [5.0, 25.0, -20.0]])
+    for method, depth in (("eval", 0), ("d1", 1), ("d2", 2), ("d3", 3)):
+        orders.clear()
+        base.calls = dict.fromkeys(base.calls, 0)
+        getattr(gp, method)(x)
+        assert max(orders) <= depth + 1, method
+        assert base.calls == {m: int(i <= depth) for i, m in
+                              enumerate(("eval", "d1", "d2", "d3"))}, method

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,10 +24,35 @@ from asymflat.curvature import (
     riemann_cov_d1,
     riemann_jet,
 )
-from asymflat.dforms import DoubleForm, PointMetric, bianchi, contract, hodge, inner, transpose, wedge
-from asymflat.fields import EuclideanMetric, make_rt_perturbation, make_schwarzschild
+from asymflat.curvature import (
+    DoubleFormField,
+    d_left_comps,
+    d_right_comps,
+    riemann_partial_d1,
+)
+from asymflat.dforms import (
+    DoubleForm,
+    PointMetric,
+    bianchi,
+    coform,
+    contract,
+    derivation_action,
+    form,
+    hodge,
+    inner,
+    transpose,
+    wedge,
+)
+from asymflat.fields import (
+    EuclideanMetric,
+    RadialPoly,
+    TensorRadialPoly,
+    make_rt_perturbation,
+    make_schwarzschild,
+)
+from asymflat.gbc import GBCContext, lovelock, variation_residual
 
-from conftest import RoundSphereChart
+from conftest import CountingMetric, RoundSphereChart
 
 
 def test_christoffel_flat_is_zero():
@@ -214,3 +240,87 @@ def test_connection_kinds():
     assert conn.kind == "levi-civita"
     x = np.array([3.0, 0.0, 0.0])
     assert np.allclose(conn.christoffel(x), christoffel(g, x))
+
+
+def test_exterior_derivative_comps_match_wedge_loop():
+    # the signed contractions against the interior-product table equal the
+    # sums of wedges with the basis 1-forms they replaced
+    rng = np.random.default_rng(4)
+    for n in range(3, 7):
+        eye = np.eye(n)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                covd = rng.standard_normal((2, n, comb(n, p), comb(n, q)))
+                terms = [DoubleForm(n, p, q, covd[:, k]) for k in range(n)]
+                if p + 1 <= n:
+                    ref = -sum(wedge(form(n, eye[k]), terms[k]).comps for k in range(n))
+                    assert np.abs(d_left_comps(n, p, q, covd).comps - ref).max() <= 1e-15
+                if q + 1 <= n:
+                    ref = -sum(wedge(terms[k], coform(n, eye[k])).comps for k in range(n))
+                    assert np.abs(d_right_comps(n, p, q, covd).comps - ref).max() <= 1e-15
+
+
+def test_curved_second_jet_level_matches_loop():
+    n, p, q = 3, 1, 1
+    g = make_rt_perturbation(n, 1.0, seed=2, parity="mixed", amplitude=0.3)
+    F = PolynomialDoubleFormField.random(n, p, q, seed=5)
+    x = np.array([[3.0, -1.0, 2.0], [0.5, 2.5, -2.0]])
+    comps, d1, d2 = F.eval(x).comps, F.d1(x), F.d2(x)
+    gam, dgam = christoffel(g, x), christoffel_d1(g, x)
+    jet = jet_from_partials(n, p, q, comps, d1, d2, gamma=gam, dgamma=dgam)
+    cov1 = jet.levels[1]
+
+    def act(A, w):
+        return derivation_action(A, DoubleForm(n, p, q, w)).comps
+
+    ref = np.empty_like(d2)
+    for a in range(n):
+        for b in range(n):
+            ref[:, a, b] = (d2[:, a, b] - act(dgam[:, a, :, b, :], comps)
+                            - act(gam[:, :, b, :], d1[:, a])
+                            - np.einsum("...m,...mIJ->...IJ", gam[:, :, a, b], cov1)
+                            - act(gam[:, :, a, :], cov1[:, b]))
+    assert np.abs(jet.levels[2] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("g", [
+    make_rt_perturbation(3, 1.0, seed=2, parity="mixed", amplitude=0.3),
+    make_schwarzschild(3, 1, 1.0, center=[0.5, 0.0, 0.0]),
+], ids=["rt", "schwarzschild"])
+def test_curved_codiff_of_gradient_is_laplace_beltrami(g):
+    n = 3
+    f = (RadialPoly.monomial(n, (2, 0, 0), 0.0) + RadialPoly.monomial(n, (0, 3, 0), 0.0)
+         + RadialPoly.monomial(n, (1, 0, 1), 0.0, -2.0))
+    arr = np.empty((1, 1), dtype=object)
+    arr[0, 0] = f
+    trp1 = TensorRadialPoly(n, arr).deriv()
+    trp2 = trp1.deriv()
+    df = DoubleFormField(n, 1, 0, lambda y: trp1(y)[..., :, :, 0],
+                         lambda y: trp2(y)[..., :, :, :, 0])
+    x = np.array([[3.0, -1.0, 2.0], [-2.5, 2.0, 1.5], [0.5, 3.5, -2.0]])
+    grad, hess = trp1(x)[..., 0, 0], trp2(x)[..., 0, 0]
+    Ginv = np.linalg.inv(g.eval(x))
+    lap = np.einsum("...ij,...ij->...", Ginv,
+                    hess - np.einsum("...kij,...k->...ij", christoffel(g, x), grad))
+    delta = codiff(df, x, "left", conn=Connection(g)).comps[..., 0, 0]
+    assert np.abs(delta - lap).max() <= 1e-12 * max(1.0, np.abs(lap).max())
+
+
+def test_curvature_consumers_evaluate_each_metric_jet_once():
+    x = np.array([[3.0, -1.0, 2.0], [0.5, 2.5, -2.0]])
+    base = make_schwarzschild(3, 1, 1.0, center=[0.5, 0.0, 0.0])
+    h = PolynomialDoubleFormField.random(3, 1, 1, seed=4)
+    consumers = {
+        "riemann_jet": (lambda g: riemann_jet(g, x, 1), ("eval", "d1", "d2", "d3")),
+        "riemann_cov_d1": (lambda g: riemann_cov_d1(g, x), ("eval", "d1", "d2", "d3")),
+        "riemann_partial_d1": (lambda g: riemann_partial_d1(g, x), ("eval", "d1", "d2", "d3")),
+        "christoffel_d1": (lambda g: christoffel_d1(g, x), ("eval", "d1", "d2")),
+        "lovelock": (lambda g: lovelock(g, x, GBCContext(3, 1)), ("eval", "d1", "d2")),
+        "variation_residual": (lambda g: variation_residual(g, h, x, 1e-4),
+                               ("eval", "d1", "d2")),
+    }
+    for name, (call, used) in consumers.items():
+        g = CountingMetric(base)
+        call(g)
+        expected = {m: int(m in used) for m in g.calls}
+        assert g.calls == expected, name
