@@ -24,13 +24,16 @@ import numpy as np
 from .dforms import (
     DoubleForm,
     PointMetric,
+    _hodge_metric,
+    _insert_left,
+    _insert_right,
     derivation_action,
     hodge,
     metric_form,
     wedge,
 )
 from .fields import MetricField, RadialPoly, TensorRadialPoly
-from .multiindex import eval_cache, interior_tensor
+from .multiindex import eval_cache
 
 __all__ = [
     "Connection",
@@ -293,21 +296,14 @@ def d_left_comps(n: int, p: int, q: int, covd: np.ndarray) -> DoubleForm:
     """Left exterior derivative from the covariant derivative array.
 
     `covd` has shape (..., n, Cp, Cq) with the derivative axis first; the
-    result is -sum_k dx^k owedge covd[k], one signed contraction against
-    the interior-product table of degree p + 1.
+    result is -sum_k dx^k owedge covd[k].
     """
-    T = interior_tensor(n, p + 1)  # T[k, I', I]: sign of dx^k owedge dx^I' on dx^I
-    return DoubleForm(n, p + 1, q, -np.einsum("kAI,...kAJ->...IJ", T, covd))
+    return DoubleForm(n, p + 1, q, _insert_left(n, p, covd))
 
 
 def d_right_comps(n: int, p: int, q: int, covd: np.ndarray) -> DoubleForm:
-    """Right exterior derivative: -sum_k covd[k] owedge dx~^k.
-
-    dx~^k sits behind the q right slots, hence the (-1)^q against the table.
-    """
-    T = interior_tensor(n, q + 1)
-    sign = -float((-1) ** q)
-    return DoubleForm(n, p, q + 1, sign * np.einsum("kBJ,...kIB->...IJ", T, covd))
+    """Right exterior derivative: -sum_k covd[k] owedge dx~^k."""
+    return DoubleForm(n, p, q + 1, _insert_right(n, q, covd))
 
 
 def _cov_d1_comps(comps: np.ndarray, partial: np.ndarray, gamma: np.ndarray | None,
@@ -473,17 +469,16 @@ def jet_d_right(a: Jet) -> Jet:
 
 def jet_hodge(a: Jet, G: PointMetric | None = None) -> Jet:
     """Hodge star of a jet: the star commutes with the covariant derivative."""
-    n = a.n
     levels = []
     for m, lv in enumerate(a.levels):
-        Gm = G
-        if G is not None and m > 0:
-            # broadcast the pointwise metric over the m derivative axes
-            expand = G.G[(Ellipsis,) + (None,) * m + (slice(None), slice(None))]
-            Gm = PointMetric(np.broadcast_to(
-                expand, lv.shape[:-2] + (n, n)).copy(), G.orientation)
-        levels.append(hodge(DoubleForm(n, a.p, a.q, lv), Gm).comps)
-    return Jet(n, n - a.p, n - a.q, levels)
+        form_m = DoubleForm(a.n, a.p, a.q, lv)
+        if G is None:
+            levels.append(hodge(form_m).comps)
+        else:
+            # the pointwise metric broadcast over the m derivative axes
+            Gm = np.expand_dims(G.G, tuple(range(-3, -3 - m, -1)))
+            levels.append(_hodge_metric(form_m, Gm).comps)
+    return Jet(a.n, a.n - a.p, a.n - a.q, levels)
 
 
 def metric_jet(n: int, G: np.ndarray | None = None, depth: int = 1,

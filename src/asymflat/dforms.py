@@ -6,14 +6,16 @@ of strictly increasing multi-indices, with component array shape
 axes.  Products use the determinant convention (shuffle sums, no factorial
 division), which is pinned by the identity ``star(g^k) = k!/(n-k)! g^(n-k)``.
 
-Metric-dependent operations accept a :class:`PointMetric`; components are
-transformed to an orthonormal frame (Cholesky), the identity-metric operation
-is applied there, and the result is transformed back.
+Metric-dependent operations take a :class:`PointMetric` G and use no frame:
+they raise the left block with the compound matrix of G^-1, apply the
+identity-metric operation, and lower the right block once with a compound
+matrix of G.  Interior products and the Bianchi maps do not depend on the
+metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -108,12 +110,10 @@ class DoubleForm:
 class PointMetric:
     """Inner product at a point: symmetric positive-definite matrix G.
 
-    Batched over leading axes.  `orientation` flips the Hodge star sign.
+    Batched over leading axes.
     """
 
     G: np.ndarray
-    orientation: int = 1
-    _chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -121,26 +121,11 @@ class PointMetric:
             raise ValueError("metric matrix must be square")
         if not np.allclose(G, np.swapaxes(G, -1, -2), atol=1e-12):
             raise ValueError("metric matrix must be symmetric")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
         try:
-            chol = np.linalg.cholesky(G)
+            np.linalg.cholesky(G)
         except np.linalg.LinAlgError as exc:
             raise ValueError("metric matrix must be positive-definite") from exc
         object.__setattr__(self, "G", G)
-        object.__setattr__(self, "_chol", chol)
-
-    @property
-    def n(self) -> int:
-        return self.G.shape[-1]
-
-    def frame(self) -> np.ndarray:
-        """Columns form a G-orthonormal frame (inverse transpose Cholesky)."""
-        ident = np.eye(self.n)
-        return np.swapaxes(np.linalg.solve(self._chol, ident), -1, -2)
-
-    def frame_inverse(self) -> np.ndarray:
-        return np.swapaxes(self._chol, -1, -2)
 
 
 def _same_degree(a: DoubleForm, b: DoubleForm) -> None:
@@ -148,30 +133,6 @@ def _same_degree(a: DoubleForm, b: DoubleForm) -> None:
         raise DegreeError(f"dimension mismatch: {a.n} vs {b.n}")
     if (a.p, a.q) != (b.p, b.q):
         raise DegreeError(f"bidegree mismatch: ({a.p},{a.q}) vs ({b.p},{b.q})")
-
-
-def _is_identity(G: PointMetric | None) -> bool:
-    if G is None:
-        return True
-    n = G.n
-    return G.G.shape == (n, n) and np.array_equal(G.G, np.eye(n)) and G.orientation == 1
-
-
-def _basis_change(omega: DoubleForm, F: np.ndarray) -> DoubleForm:
-    """Components of `omega` in the frame given by the columns of F."""
-    Cp = compound_matrix(F, omega.p)
-    Cq = compound_matrix(F, omega.q)
-    comps = np.einsum("...ab,...ax,...by->...xy", omega.comps, Cp, Cq,
-                      optimize=True)
-    return DoubleForm(omega.n, omega.p, omega.q, comps)
-
-
-def _with_frame(op, omega: DoubleForm, G: PointMetric | None, *args):
-    """Run an identity-metric operation in a G-orthonormal frame."""
-    if _is_identity(G):
-        return op(omega, *args)
-    out = op(_basis_change(omega, G.frame()), *args)
-    return _basis_change(out, G.frame_inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -246,49 +207,60 @@ def transpose(a: DoubleForm) -> DoubleForm:
     return DoubleForm(a.n, a.q, a.p, np.swapaxes(a.comps, -1, -2))
 
 
-def _hodge_identity(a: DoubleForm, orientation: int = 1) -> DoubleForm:
+def _hodge_identity(a: DoubleForm) -> DoubleForm:
     HL = hodge_matrix(a.n, a.p)
     HR = hodge_matrix(a.n, a.q)
-    comps = orientation * np.einsum("ai,...ij,bj->...ab", HL, a.comps, HR,
-                                    optimize=True)
+    comps = np.einsum("ai,...ij,bj->...ab", HL, a.comps, HR, optimize=True)
     return DoubleForm(a.n, a.n - a.p, a.n - a.q, comps)
 
 
+def _hodge_metric(a: DoubleForm, G: np.ndarray) -> DoubleForm:
+    """g-star for the metric matrix G (broadcast against the batch of `a`)."""
+    raised = compound_matrix(np.linalg.inv(G), a.p) @ a.comps
+    out = _hodge_identity(DoubleForm(a.n, a.p, a.q, raised))
+    return DoubleForm(out.n, out.p, out.q,
+                      out.comps @ compound_matrix(G, a.n - a.q))
+
+
 def hodge(a: DoubleForm, G: PointMetric | None = None) -> DoubleForm:
-    """Blockwise Hodge star; satisfies *^2 = (-1)^((p+q)(n-p-q)) id."""
-    if _is_identity(G):
+    """Blockwise Hodge star; satisfies *^2 = (-1)^((p+q)(n-p-q)) id.
+
+    With a metric: raise the left block with C_p(G^-1), star flat, lower the
+    right block with C_{n-q}(G).
+    """
+    if G is None:
         return _hodge_identity(a)
-    return _with_frame(_hodge_identity, a, G, G.orientation)
-
-
-def _contract_identity(a: DoubleForm) -> DoubleForm:
-    if a.p < 1 or a.q < 1:
-        raise DegreeError("contraction needs p >= 1 and q >= 1")
-    TL = interior_tensor(a.n, a.p)
-    TR = interior_tensor(a.n, a.q)
-    comps = np.einsum("kaA,kbB,...AB->...ab", TL, TR, a.comps, optimize=True)
-    return DoubleForm(a.n, a.p - 1, a.q - 1, comps)
+    return _hodge_metric(a, G.G)
 
 
 def contract(a: DoubleForm, G: PointMetric | None = None) -> DoubleForm:
     """Metric trace pairing one left with one right slot (adjoint of g-wedge)."""
-    return _with_frame(_contract_identity, a, G)
-
-
-def _inner_identity(a: DoubleForm, b: DoubleForm) -> np.ndarray:
-    return np.einsum("...ij,...ij->...", a.comps, b.comps)
+    if a.p < 1 or a.q < 1:
+        raise DegreeError("contraction needs p >= 1 and q >= 1")
+    Ginv = np.eye(a.n) if G is None else np.linalg.inv(G.G)
+    TL = interior_tensor(a.n, a.p)
+    TR = interior_tensor(a.n, a.q)
+    comps = np.einsum("...kl,kaA,lbB,...AB->...ab", Ginv, TL, TR, a.comps,
+                      optimize=True)
+    return DoubleForm(a.n, a.p - 1, a.q - 1, comps)
 
 
 def inner(a: DoubleForm, b: DoubleForm, G: PointMetric | None = None) -> np.ndarray:
-    """Tensor-product scalar product of two double forms of equal bidegree."""
+    """Tensor-product scalar product of two double forms of equal bidegree.
+
+    With a metric, both blocks of `a` are raised: C_p(G^-1) a C_q(G^-1)^T.
+    """
     _same_degree(a, b)
-    if _is_identity(G):
-        return _inner_identity(a, b)
-    F = G.frame()
-    return _inner_identity(_basis_change(a, F), _basis_change(b, F))
+    comps = a.comps
+    if G is not None:
+        Ginv = np.linalg.inv(G.G)
+        comps = (compound_matrix(Ginv, a.p) @ comps
+                 @ np.swapaxes(compound_matrix(Ginv, a.q), -1, -2))
+    return np.einsum("...ij,...ij->...", comps, b.comps)
 
 
-def _interior_identity(X: np.ndarray, a: DoubleForm, side: str) -> DoubleForm:
+def interior(X: np.ndarray, a: DoubleForm, side: str = "left") -> DoubleForm:
+    """Insert the vector X into the first slot of the chosen block."""
     X = np.asarray(X, dtype=float)
     if side == "left":
         if a.p < 1:
@@ -305,43 +277,45 @@ def _interior_identity(X: np.ndarray, a: DoubleForm, side: str) -> DoubleForm:
     raise ValueError("side must be 'left' or 'right'")
 
 
-def interior(X: np.ndarray, a: DoubleForm, side: str = "left",
-             G: PointMetric | None = None) -> DoubleForm:
-    """Insert the vector X into the first slot of the chosen block."""
-    if _is_identity(G):
-        return _interior_identity(X, a, side)
-    # In the orthonormal frame the vector components are (L^T X).
-    Xf = np.einsum("...ij,...j->...i", G.frame_inverse(), X)
-    out = _interior_identity(Xf, _basis_change(a, G.frame()), side)
-    return _basis_change(out, G.frame_inverse())
+def _insert_left(n: int, p: int, stacked: np.ndarray) -> np.ndarray:
+    """-sum_k dx^k owedge stacked[k] for stacked of shape (..., n, C(n,p), Cq).
+
+    One signed contraction against the interior-product table of degree p + 1.
+    """
+    if p + 1 > n:
+        raise DegreeError(f"degree overflow: left degree {p}+1 exceeds n={n}")
+    return -np.einsum("kAI,...kAJ->...IJ", interior_tensor(n, p + 1), stacked)
 
 
-def _bianchi_identity_metric(a: DoubleForm, side: str) -> DoubleForm:
+def _insert_right(n: int, q: int, stacked: np.ndarray) -> np.ndarray:
+    """-sum_k stacked[k] owedge dx~^k for stacked of shape (..., n, Cp, C(n,q)).
+
+    dx~^k sits behind the q right slots, hence the (-1)^q against the table.
+    """
+    if q + 1 > n:
+        raise DegreeError(f"degree overflow: right degree {q}+1 exceeds n={n}")
+    sign = -float((-1) ** q)
+    return sign * np.einsum("kBJ,...kIB->...IJ", interior_tensor(n, q + 1), stacked)
+
+
+def bianchi(a: DoubleForm, side: str = "left") -> DoubleForm:
+    """Bianchi alternation map; zero on (p,0) (left) and (0,q) (right) by convention.
+
+    Left: -sum_k dx^k owedge (iota_{e_k} on the right block); right: the mirror
+    image.  Each is one interior contraction and one signed insertion.
+    """
     n = a.n
     if side == "left":
-        out = zero_form(n, a.p + 1, a.q - 1, a.batch_shape)
-        for k in range(n):
-            ek = form(n, np.eye(n)[k])
-            out = out + wedge(ek, _interior_identity(np.eye(n)[k], a, "right"))
-        return -1.0 * out
+        if a.q == 0:
+            return zero_form(n, a.p, 0, a.batch_shape)
+        contracted = np.einsum("kbB,...AB->...kAb", interior_tensor(n, a.q), a.comps)
+        return DoubleForm(n, a.p + 1, a.q - 1, _insert_left(n, a.p, contracted))
     if side == "right":
-        if a.p < 1:
+        if a.p == 0:
             return zero_form(n, 0, a.q, a.batch_shape)
-        out = zero_form(n, a.p - 1, a.q + 1, a.batch_shape)
-        for k in range(n):
-            ek = coform(n, np.eye(n)[k])
-            out = out + wedge(_interior_identity(np.eye(n)[k], a, "left"), ek)
-        return -1.0 * out
+        contracted = np.einsum("kaA,...AB->...kaB", interior_tensor(n, a.p), a.comps)
+        return DoubleForm(n, a.p - 1, a.q + 1, _insert_right(n, a.q, contracted))
     raise ValueError("side must be 'left' or 'right'")
-
-
-def bianchi(a: DoubleForm, side: str = "left", G: PointMetric | None = None) -> DoubleForm:
-    """Bianchi alternation map; zero on (p,0) (left) and (0,q) (right) by convention."""
-    if side == "left" and a.q == 0:
-        return zero_form(a.n, a.p, 0, a.batch_shape)
-    if side == "right" and a.p == 0:
-        return zero_form(a.n, 0, a.q, a.batch_shape)
-    return _with_frame(_bianchi_identity_metric, a, G, side)
 
 
 def derivation_action(A: np.ndarray, a: DoubleForm) -> DoubleForm:

@@ -1,8 +1,10 @@
 """Gauss-Bonnet-Chern curvatures, P_k and Lovelock tensors, and the
 second-order curvature variation residual.
 
-All stars and metric powers here are taken with the pointwise metric g
-itself; the mixed flat/curved expressions of the asymptotic invariants live
+All stars and metric powers here are those of the pointwise metric g.
+Raising the curvature's left block with g^-1 turns g into the flat b, so the
+g-star of R^k g^m is the flat star of (R#)^k b^m with its right block lowered
+once.  The mixed flat/curved expressions of the asymptotic invariants live
 in the invariants module.
 """
 
@@ -14,7 +16,6 @@ import numpy as np
 
 from .dforms import (
     DoubleForm,
-    PointMetric,
     contract,
     hodge,
     metric_form,
@@ -33,6 +34,7 @@ from .curvature import (
     pack_22,
 )
 from .fields import MetricField
+from .multiindex import compound_matrix
 
 __all__ = [
     "GBCContext",
@@ -50,7 +52,8 @@ class GBCContext:
 
     Requires n >= 2k; the Lovelock tensor additionally needs n >= 2k + 1.
     The cached powers of the flat metric b are what the asymptotic-invariant
-    integrands consume at every quadrature node.
+    integrands and the raised curvature powers of `l_k`, `p_k` and
+    `lovelock` are wedged with.
     """
 
     def __init__(self, n: int, k: int):
@@ -72,9 +75,14 @@ class GBCContext:
 
 
 def _point_data(g: MetricField, x: np.ndarray):
+    """The metric G at x and the curvature R# with its left block raised."""
     x = np.asarray(x, dtype=float)
     G = g.eval(x)
-    return PointMetric(G), pack_22(_riemann_from_jets(G, g.d1(x), g.d2(x)), g.n)
+    Ginv = np.linalg.inv(G)
+    R = _riemann_from_jets(G, g.d1(x), g.d2(x))
+    R_sharp = np.einsum("...ai,...bj,...ijkl->...abkl", Ginv, Ginv, R,
+                        optimize=True)
+    return G, pack_22(R_sharp, g.n)
 
 
 def l_k(g: MetricField, x: np.ndarray, ctx: GBCContext) -> np.ndarray:
@@ -83,10 +91,8 @@ def l_k(g: MetricField, x: np.ndarray, ctx: GBCContext) -> np.ndarray:
     L_k = (2^k / (n-2k)!) * (R^owedge-k owedge g^owedge-(n-2k)); the 2^k
     matches the classical complete contractions of curvature powers.
     """
-    G, R = _point_data(g, x)
-    gform = DoubleForm(ctx.n, 1, 1, G.G)
-    full = wedge(wedge_power(R, ctx.k), wedge_power(gform, ctx.n - 2 * ctx.k))
-    val = hodge(full, G)
+    _, R = _point_data(g, x)
+    val = hodge(wedge(wedge_power(R, ctx.k), ctx.b_power))
     return val.comps[..., 0, 0] * ctx.power_norm / ctx.norm_factorial
 
 
@@ -97,10 +103,9 @@ def p_k(g: MetricField, x: np.ndarray, ctx: GBCContext) -> DoubleForm:
     of the right-hand side.
     """
     G, R = _point_data(g, x)
-    gform = DoubleForm(ctx.n, 1, 1, G.G)
-    star_p = wedge(wedge_power(R, ctx.k - 1),
-                   wedge_power(gform, ctx.n - 2 * ctx.k))
-    return (ctx.power_norm / ctx.norm_factorial) * hodge(star_p, G)
+    star = hodge(wedge(wedge_power(R, ctx.k - 1), ctx.b_power))
+    norm = ctx.power_norm / ctx.norm_factorial
+    return DoubleForm(ctx.n, 2, 2, norm * star.comps @ compound_matrix(G, 2))
 
 
 def lovelock(g: MetricField, x: np.ndarray, ctx: GBCContext) -> DoubleForm:
@@ -112,22 +117,21 @@ def lovelock(g: MetricField, x: np.ndarray, ctx: GBCContext) -> DoubleForm:
     if ctx.n < 2 * ctx.k + 1:
         raise ValueError("Lovelock tensor needs n >= 2k + 1")
     G, R = _point_data(g, x)
-    gform = DoubleForm(ctx.n, 1, 1, G.G)
-    full = wedge(wedge_power(R, ctx.k), wedge_power(gform, ctx.n - 2 * ctx.k - 1))
+    star = hodge(wedge(wedge_power(R, ctx.k), ctx.b_power_lovelock))
     norm = ctx.power_norm / factorial(ctx.n - 2 * ctx.k - 1)
-    return norm * hodge(full, G)
+    return DoubleForm(ctx.n, 1, 1, norm * star.comps @ G)
 
 
 def ricci(g: MetricField, x: np.ndarray) -> DoubleForm:
     """Ricci tensor as the metric contraction of the curvature form."""
     G, R = _point_data(g, x)
-    return contract(R, G)
+    return DoubleForm(g.n, 1, 1, G @ contract(R).comps)
 
 
 def scal(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Scalar curvature as the double metric contraction of the curvature."""
-    G, R = _point_data(g, x)
-    return contract(contract(R, G), G).comps[..., 0, 0]
+    _, R = _point_data(g, x)
+    return contract(contract(R)).comps[..., 0, 0]
 
 
 def variation_residual(g: MetricField, h: DoubleFormField, x: np.ndarray,

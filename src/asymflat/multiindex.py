@@ -87,8 +87,8 @@ def wedge_matrix(n: int, p1: int, p2: int) -> np.ndarray:
 def hodge_matrix(n: int, p: int) -> np.ndarray:
     """Signed permutation matrix of the Euclidean Hodge star on p-forms.
 
-    (*alpha)[I_complement] = sign(I, I_complement) * alpha[I] with positive
-    orientation and the identity metric.
+    (*alpha)[I_complement] = sign(I, I_complement) * alpha[I] for the
+    standard volume form and the identity metric.
     """
     src = multi_indices(n, p)
     dst_pos = index_position(n, n - p)
@@ -129,21 +129,9 @@ def derivation_tensor(n: int, p: int) -> np.ndarray:
     A e_{I_a}) = einsum('IJmi,mi,J->I', W, A, alpha).  Used for connection
     corrections on compressed antisymmetric blocks.
     """
-    idxs = multi_indices(n, p)
-    pos = index_position(n, p)
-    C = comb(n, p)
-    W = np.zeros((C, C, n, n))
-    for i, I in enumerate(idxs):
-        for a, ia in enumerate(I):
-            rest = I[:a] + I[a + 1:]
-            restset = set(rest)
-            for m in range(n):
-                if m in restset:
-                    continue
-                J = tuple(sorted((m,) + rest))
-                s = merge_sign((m,), rest) * merge_sign((ia,), rest)
-                W[i, pos[J], m, ia] += s
-    return W
+    # sum_i dx^i owedge iota_{A e_i}: W[I, J, m, i] = sum_A T[i, A, I] T[m, A, J]
+    T = interior_tensor(n, p)
+    return np.einsum("iAI,mAJ->IJmi", T, T)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from asymflat.dforms import (
+    DegreeError,
     DoubleForm,
     PointMetric,
     bianchi,
@@ -27,9 +28,20 @@ def random_form(rng, n, p, q, batch=()):
     return DoubleForm(n, p, q, rng.standard_normal(batch + (comb(n, p), comb(n, q))))
 
 
-def random_metric(rng, n):
-    A = rng.standard_normal((n, n)) * 0.3
-    return PointMetric(np.eye(n) + A @ A.T)
+def random_metric(rng, n, batch=()):
+    A = rng.standard_normal(batch + (n, n)) * 0.3
+    return PointMetric(np.eye(n) + A @ np.swapaxes(A, -1, -2))
+
+
+CURVED_DIMS = (3, 4, 5, 6)
+
+
+def bidegrees(n):
+    return [(p, q) for p in range(n + 1) for q in range(n + 1)]
+
+
+def g_norm(a, G):
+    return np.sqrt(inner(a, a, G))
 
 
 def test_shape_validation():
@@ -105,6 +117,36 @@ def test_hodge_involution_curved():
     assert np.allclose(hodge(hodge(a, G), G).comps, sign * a.comps, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", CURVED_DIMS)
+def test_curved_hodge_involution_and_isometry(n):
+    # *^2 = (-1)^((p+q)(n-p-q)) id and <*a, *b>_g = <a, b>_g for every
+    # bidegree, batched over three random metrics
+    rng = np.random.default_rng(20 + n)
+    G = random_metric(rng, n, batch=(3,))
+    for p, q in bidegrees(n):
+        a = random_form(rng, n, p, q, batch=(3,))
+        b = random_form(rng, n, p, q, batch=(3,))
+        sign = (-1) ** ((p + q) * (n - p - q))
+        err = np.abs(hodge(hodge(a, G), G).comps - sign * a.comps).max()
+        assert err <= 1e-12 * np.abs(a.comps).max(), (p, q)
+        lhs = inner(hodge(a, G), hodge(b, G), G)
+        rhs = inner(a, b, G)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * g_norm(a, G) * g_norm(b, G)), (p, q)
+
+
+@pytest.mark.parametrize("n", CURVED_DIMS)
+def test_curved_star_of_metric_powers(n):
+    # *g^k = k!/(n-k)! g^(n-k) with g the curved metric itself
+    import math
+    rng = np.random.default_rng(30 + n)
+    G = random_metric(rng, n, batch=(2,))
+    g = metric_form(n, G.G)
+    for k in range(n + 1):
+        lhs = hodge(wedge_power(g, k), G).comps
+        rhs = math.factorial(k) / math.factorial(n - k) * wedge_power(g, n - k).comps
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max(), k
+
+
 def test_contract_traces_metric():
     n = 5
     c = contract(metric_form(n))
@@ -121,6 +163,22 @@ def test_contract_adjoint_to_metric_wedge():
     lhs = inner(wedge(gform, a), b, G)
     rhs = inner(a, contract(b, G), G)
     assert np.isclose(lhs, rhs, rtol=1e-11)
+
+
+@pytest.mark.parametrize("n", CURVED_DIMS)
+def test_curved_contraction_adjoint_every_bidegree(n):
+    # <g a, b>_g = <a, c(b)>_g for every (p, q) with room for g, batched over
+    # three random metrics
+    rng = np.random.default_rng(40 + n)
+    G = random_metric(rng, n, batch=(3,))
+    g = metric_form(n, G.G)
+    for p, q in bidegrees(n - 1):
+        a = random_form(rng, n, p, q, batch=(3,))
+        b = random_form(rng, n, p + 1, q + 1, batch=(3,))
+        ga = wedge(g, a)
+        lhs = inner(ga, b, G)
+        rhs = inner(a, contract(b, G), G)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * g_norm(ga, G) * g_norm(b, G)), (p, q)
 
 
 def test_interior_first_slot():
@@ -174,3 +232,44 @@ def test_inner_is_positive_definite_flat():
     rng = np.random.default_rng(12)
     a = random_form(rng, 4, 2, 2)
     assert inner(a, a) > 0
+
+
+def bianchi_by_basis_loop(a, side):
+    """The Bianchi maps as the sums over basis vectors that define them."""
+    n = a.n
+    out = None
+    for e in np.eye(n):
+        if side == "left":
+            term = wedge(form(n, e), interior(e, a, "right"))
+        else:
+            term = wedge(interior(e, a, "left"), coform(n, e))
+        out = term if out is None else out + term
+    return -1.0 * out
+
+
+@pytest.mark.parametrize("n", CURVED_DIMS)
+def test_bianchi_matches_basis_loop(n):
+    rng = np.random.default_rng(50 + n)
+    for p, q in bidegrees(n):
+        a = random_form(rng, n, p, q, batch=(2,))
+        scale = np.abs(a.comps).max()
+        if q >= 1 and p + 1 <= n:
+            err = np.abs(bianchi(a, "left").comps
+                         - bianchi_by_basis_loop(a, "left").comps).max()
+            assert err <= 1e-13 * scale, (p, q)
+        if p >= 1 and q + 1 <= n:
+            err = np.abs(bianchi(a, "right").comps
+                         - bianchi_by_basis_loop(a, "right").comps).max()
+            assert err <= 1e-13 * scale, (p, q)
+
+
+def test_bianchi_degree_overflow_raises():
+    for n in CURVED_DIMS:
+        for q in range(1, n + 1):
+            with pytest.raises(DegreeError):
+                bianchi(zero_form(n, n, q), "left")
+            with pytest.raises(DegreeError):
+                bianchi(zero_form(n, q, n), "right")
+        # (p, 0) on the left and (0, q) on the right map to zero by convention
+        assert bianchi(zero_form(n, n, 0), "left").p == n
+        assert bianchi(zero_form(n, 0, n), "right").q == n

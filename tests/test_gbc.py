@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from asymflat.curvature import PolynomialDoubleFormField
-from asymflat.dforms import DoubleForm, PointMetric, contract
+from asymflat.curvature import PolynomialDoubleFormField, riemann
+from asymflat.dforms import (
+    DoubleForm,
+    PointMetric,
+    contract,
+    hodge,
+    metric_form,
+    wedge,
+    wedge_power,
+)
 from asymflat.fields import EuclideanMetric, make_rt_perturbation, make_schwarzschild
 from asymflat.gbc import GBCContext, l_k, lovelock, p_k, ricci, scal, variation_residual
 
@@ -124,3 +132,44 @@ def test_variation_residual_second_order_at_flat():
     r1 = variation_residual(g, hs, x, 1e-3).norm().max()
     r2 = variation_residual(g, hs, x, 1e-4).norm().max()
     assert r1 / r2 > 50.0  # quadratic: factor ~100 per decade
+
+
+ORACLE_CASES = [(3, 1), (4, 1), (5, 1), (5, 2), (6, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("n,k", ORACLE_CASES)
+def test_raised_curvature_route_matches_curved_stars(n, k):
+    # l_k, p_k, lovelock, ricci and scal against g-stars and g-contractions
+    # of the curved products R^j g^m, on a generic perturbation and on a
+    # translated Schwarzschild field (L_k-flat at its own order)
+    ctx = GBCContext(n, k)
+    rng = np.random.default_rng(n + 10 * k)
+    nu = rng.standard_normal((3, n))
+    nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
+    x = (3.0 + 3.0 * rng.random((3, 1))) * nu
+    metrics = (
+        make_rt_perturbation(n, 1.0, seed=n + 10 * k, parity="mixed", amplitude=0.3),
+        make_schwarzschild(n, k, 1.3, center=0.4 * np.ones(n) / np.sqrt(n)),
+    )
+    for g in metrics:
+        G = PointMetric(g.eval(x))
+        R = riemann(g, x)
+        gform = metric_form(n, G.G)
+
+        def curved(j, m):
+            return hodge(wedge(wedge_power(R, j), wedge_power(gform, m)), G).comps
+
+        def close(fast, ref, degree):
+            # relative, with an absolute floor of the curvature scale where
+            # the quantity cancels (L_k and Scal of Schwarzschild)
+            scale = max(np.abs(ref).max(), np.abs(R.comps).max() ** degree)
+            assert fast.shape == ref.shape
+            assert np.abs(fast - ref).max() <= 1e-12 * scale
+
+        norm = ctx.power_norm / ctx.norm_factorial
+        close(l_k(g, x, ctx), norm * curved(k, n - 2 * k)[..., 0, 0], k)
+        close(p_k(g, x, ctx).comps, norm * curved(k - 1, n - 2 * k), k - 1)
+        lnorm = ctx.power_norm / math.factorial(n - 2 * k - 1)
+        close(lovelock(g, x, ctx).comps, lnorm * curved(k, n - 2 * k - 1), k)
+        close(ricci(g, x).comps, contract(R, G).comps, 1)
+        close(scal(g, x), contract(contract(R, G), G).comps[..., 0, 0], 1)
