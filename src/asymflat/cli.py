@@ -117,6 +117,8 @@ def parse_radii(spec) -> list[float]:
         radii = [r0 * 2.0 ** j for j in range(levels)]
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("radii: need >= 3 strictly increasing values")
+    if not all(r > 0 for r in radii):
+        raise ConfigError("radii: every radius must be > 0")
     return radii
 
 

@@ -5,6 +5,8 @@ of strictly increasing multi-indices, with component array shape
 ``batch + (C(n,p), C(n,q))``; all operations broadcast over leading batch
 axes.  Products use the determinant convention (shuffle sums, no factorial
 division), which is pinned by the identity ``star(g^k) = k!/(n-k)! g^(n-k)``.
+The wedge and the flat Hodge star read the signed splits of
+`multiindex.shuffle_table`; no dense product or star matrix is formed.
 
 Metric-dependent operations take a :class:`PointMetric` G and use no frame:
 they raise the left block with the compound matrix of G^-1, apply the
@@ -23,10 +25,8 @@ import numpy as np
 from .multiindex import (
     compound_matrix,
     derivation_tensor,
-    eval_cache,
-    hodge_matrix,
     interior_tensor,
-    wedge_matrix,
+    shuffle_table,
 )
 
 __all__ = [
@@ -185,11 +185,11 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
         raise DegreeError(
             f"degree overflow: ({a.p}+{b.p}, {a.q}+{b.q}) exceeds n={n}"
         )
-    WL = wedge_matrix(n, a.p, b.p)
-    WR = wedge_matrix(n, a.q, b.q)
-    kron = np.einsum("...ij,...kl->...ikjl", a.comps, b.comps)
-    kron = kron.reshape(kron.shape[:-4] + (WL.shape[1], WR.shape[1]))
-    comps = np.einsum("ai,...ij,bj->...ab", WL, kron, WR, optimize=True)
+    lL, rL, sL = shuffle_table(n, a.p, b.p)
+    lR, rR, sR = shuffle_table(n, a.q, b.q)
+    prod = (a.comps[..., lL[:, :, None, None], lR[None, None]]
+            * b.comps[..., rL[:, :, None, None], rR[None, None]])
+    comps = np.einsum("...KsJt,Ks,Jt->...KJ", prod, sL, sR)
     return DoubleForm(n, p, q, comps)
 
 
@@ -208,9 +208,11 @@ def transpose(a: DoubleForm) -> DoubleForm:
 
 
 def _hodge_identity(a: DoubleForm) -> DoubleForm:
-    HL = hodge_matrix(a.n, a.p)
-    HR = hodge_matrix(a.n, a.q)
-    comps = np.einsum("ai,...ij,bj->...ab", HL, a.comps, HR, optimize=True)
+    # The complements of lex-ordered multi-indices come in reverse lex order,
+    # so the star reverses both blocks and applies the split signs of K = [0, n).
+    sL = shuffle_table(a.n, a.p, a.n - a.p)[2][0, ::-1]
+    sR = shuffle_table(a.n, a.q, a.n - a.q)[2][0, ::-1]
+    comps = sL[:, None] * a.comps[..., ::-1, ::-1] * sR
     return DoubleForm(a.n, a.n - a.p, a.n - a.q, comps)
 
 
@@ -346,10 +348,7 @@ def evaluate(a: DoubleForm, xs, ys) -> np.ndarray:
         if p == 0:
             return np.ones(1)
         V = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-2)
-        idx = eval_cache(a.n, p)
-        cols = V[..., :, idx]            # (..., p, C, p)
-        cols = np.moveaxis(cols, -2, -3)  # (..., C, p, p)
-        return np.linalg.det(cols)
+        return compound_matrix(V, p)[..., 0, :]
 
     dL = block_dets(xs, a.p)
     dR = block_dets(ys, a.q)

@@ -11,8 +11,8 @@ K[c, p, (a, i)] with c running over the components of e = g - delta.
 A kernel keeps only the (c, p) pairs that carry a nonzero coefficient, with
 their coefficient rows over the output axes, so evaluating it on a batch of
 nodes is one gather and one small matrix product.  Kernels are composed from
-the sparse wedge and Hodge tables and the exterior derivative, built on
-first use and cached per (n, k) for the life of the process.  The dense
+the shuffle table and the exterior derivative, built on first use and
+cached per (n, k) for the life of the process.  The dense
 double-form path in `invariants` is the reference they are tested against.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .curvature import d_right_comps
 from .dforms import DoubleForm, coform, metric_form, wedge, wedge_power
-from .multiindex import hodge_matrix, wedge_matrix
+from .multiindex import shuffle_table
 
 __all__ = ["FluxKernel", "mass_kernel", "center_kernel"]
 
@@ -54,20 +54,29 @@ def _check(n: int, k: int) -> None:
         raise ValueError(f"flux kernels need k >= 1 and n >= 2k, got ({n}, {k})")
 
 
+def _wedge_table(n: int, p1: int, p2: int) -> np.ndarray:
+    """Dense W[K, I, J] = sign of I + J = K (zero elsewhere), from the shuffle table."""
+    left, right, sign = shuffle_table(n, p1, p2)
+    W = np.zeros((comb(n, p1 + p2), comb(n, p1), comb(n, p2)))
+    W[np.arange(len(W))[:, None], left, right] = sign
+    return W
+
+
 def _closing_tensor(n: int) -> np.ndarray:
     """T[xl, xr, yl, yr, i] = component i of *(X owedge Y) for X of bidegree
     (1, 2) and Y of bidegree (n-2, n-2); the star lands in bidegree (1, 0)."""
-    WL = wedge_matrix(n, 1, n - 2).reshape(n, n, -1)       # [a, xl, yl]
-    WR = wedge_matrix(n, 2, n - 2).reshape(comb(n, 2), -1)  # [xr, yr]
-    return hodge_matrix(n, n)[0, 0] * np.einsum(
-        "ia,auv,xy->uxvyi", hodge_matrix(n, n - 1), WL, WR)
+    WL = _wedge_table(n, 1, n - 2)                        # [a, xl, yl]
+    WR = _wedge_table(n, 2, n - 2).reshape(comb(n, 2), -1)  # [xr, yr]
+    star = np.zeros((n, n))                               # (n-1, 0) -> (1, 0)
+    star[np.arange(n)[::-1], np.arange(n)] = shuffle_table(n, n - 1, 1)[2][0]
+    return np.einsum("ia,auv,xy->uxvyi", star, WL, WR)
 
 
 def _curvature_map(n: int, k: int) -> np.ndarray:
     """B[yl, yr, p] with (P owedge b^{n-2k})[yl, yr] = sum_p B[yl, yr, p] P[p]."""
     d = 2 * k - 2
     b = wedge_power(metric_form(n), n - 2 * k).comps
-    W = wedge_matrix(n, d, n - 2 * k).reshape(comb(n, n - 2), comb(n, d), -1)
+    W = _wedge_table(n, d, n - 2 * k)
     B = np.einsum("ypb,zqc,bc->yzpq", W, W, b)
     return B.reshape(B.shape[:2] + (-1,))
 

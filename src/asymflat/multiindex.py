@@ -1,10 +1,13 @@
 """Strictly increasing multi-indices and the combinatorial tables built on them.
 
 Everything in this module is pure combinatorics for exterior algebra in a
-fixed dimension n <= MAX_DIM: enumeration of increasing index tuples,
-shuffle/merge signs, complement signs, and the dense matrices that implement
-wedge products, Hodge duality, interior products, and matrix-derivation
-actions on compressed antisymmetric components.  All tables are cached.
+fixed dimension n <= MAX_DIM: enumeration of increasing index tuples and the
+shuffle table, which lists every split of an increasing index K into I and J
+with its merge sign (determinant convention).  Wedge products, Hodge stars
+and interior products are all read from that one table; the interior and
+matrix-derivation tensors on compressed antisymmetric components are
+scattered from it here.  Compound matrices (all p x p minors) give the
+induced action of a matrix on p-forms.  All tables are cached.
 """
 
 from __future__ import annotations
@@ -53,50 +56,32 @@ def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     return sign
 
 
-def complement(n: int, idx: tuple[int, ...]) -> tuple[int, ...]:
-    """Increasing complement of `idx` inside [0, n)."""
-    present = set(idx)
-    return tuple(i for i in range(n) if i not in present)
-
-
 @lru_cache(maxsize=None)
-def wedge_matrix(n: int, p1: int, p2: int) -> np.ndarray:
-    """Dense matrix W with (alpha ^ beta) = W @ kron-flattened (alpha, beta).
+def shuffle_table(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every split of each increasing (p1+p2)-index K into I and J, I + J = K.
 
-    Shape is (C(n, p1+p2), C(n, p1) * C(n, p2)); entry at (K, (I, J)) is the
-    merge sign when I and J are disjoint and sort to K, else 0.
+    Returns read-only arrays `left`, `right` and `sign` of shape
+    (C(n, p1+p2), C(p1+p2, p1)): row K lists, for each choice of the p1
+    positions of K that form I (in lexicographic order), the storage
+    positions of I and of its complement J in K, and `merge_sign(I, J)`.
+    This is the one table behind wedge products, Hodge stars and interior
+    products.
     """
     p = p1 + p2
-    if p > n:
-        raise ValueError(f"wedge degree overflow: {p1}+{p2} > {n}")
-    out_pos = index_position(n, p)
-    rows1 = multi_indices(n, p1)
-    rows2 = multi_indices(n, p2)
-    W = np.zeros((comb(n, p), len(rows1) * len(rows2)))
-    for i, I in enumerate(rows1):
-        seti = set(I)
-        for j, J in enumerate(rows2):
-            if seti & set(J):
-                continue
-            K = tuple(sorted(I + J))
-            W[out_pos[K], i * len(rows2) + j] = merge_sign(I, J)
-    return W
-
-
-@lru_cache(maxsize=None)
-def hodge_matrix(n: int, p: int) -> np.ndarray:
-    """Signed permutation matrix of the Euclidean Hodge star on p-forms.
-
-    (*alpha)[I_complement] = sign(I, I_complement) * alpha[I] for the
-    standard volume form and the identity metric.
-    """
-    src = multi_indices(n, p)
-    dst_pos = index_position(n, n - p)
-    H = np.zeros((comb(n, n - p), comb(n, p)))
-    for i, I in enumerate(src):
-        Ic = complement(n, I)
-        H[dst_pos[Ic], i] = merge_sign(I, Ic)
-    return H
+    rows = multi_indices(n, p)
+    pos1, pos2 = index_position(n, p1), index_position(n, p2)
+    splits = tuple(combinations(range(p), p1))
+    left = np.empty((len(rows), len(splits)), dtype=np.intp)
+    right = np.empty_like(left)
+    sign = np.empty(left.shape)
+    for r, K in enumerate(rows):
+        for s, S in enumerate(splits):
+            I = tuple(K[i] for i in S)
+            J = tuple(K[j] for j in range(p) if j not in S)
+            left[r, s], right[r, s], sign[r, s] = pos1[I], pos2[J], merge_sign(I, J)
+    for a in (left, right, sign):  # every caller shares the cached table
+        a.flags.writeable = False
+    return left, right, sign
 
 
 @lru_cache(maxsize=None)
@@ -108,16 +93,9 @@ def interior_tensor(n: int, p: int) -> np.ndarray:
     """
     if p < 1:
         raise ValueError("interior product needs degree >= 1")
-    small = multi_indices(n, p - 1)
-    big_pos = index_position(n, p)
+    k, rest, sign = shuffle_table(n, 1, p - 1)
     T = np.zeros((n, comb(n, p - 1), comb(n, p)))
-    for j, J in enumerate(small):
-        present = set(J)
-        for k in range(n):
-            if k in present:
-                continue
-            I = tuple(sorted((k,) + J))
-            T[k, j, big_pos[I]] = merge_sign((k,), J)
+    T[k, rest, np.arange(comb(n, p))[:, None]] = sign
     return T
 
 
@@ -144,16 +122,9 @@ def compound_matrix(M: np.ndarray, p: int) -> np.ndarray:
     """p-th compound (matrix of p x p minors) of M, batched over leading axes.
 
     Entry [I, J] is det(M[I, J]) over increasing row/column multi-indices; it
-    is the induced action of M on compressed p-form components.
+    is the induced action of M on compressed p-form components.  M may be
+    rectangular.
     """
-    n = M.shape[-1]
-    if p == 0:
-        return np.ones(M.shape[:-2] + (1, 1))
-    idxs = multi_indices(n, p)
-    C = comb(n, p)
-    out = np.empty(M.shape[:-2] + (C, C))
-    for i, I in enumerate(idxs):
-        rows = M[..., I, :]
-        for j, J in enumerate(idxs):
-            out[..., i, j] = np.linalg.det(rows[..., :, J])
-    return out
+    r = eval_cache(M.shape[-2], p)
+    c = eval_cache(M.shape[-1], p)
+    return np.linalg.det(M[..., r[:, None, :, None], c[None, :, None, :]])

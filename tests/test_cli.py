@@ -21,8 +21,9 @@ def test_parse_radii_rejects_bad_specs():
     for bad in ("10", "0:5", "10:2", "a:b"):
         with pytest.raises(ConfigError):
             parse_radii(bad)
-    with pytest.raises(ConfigError):
-        parse_radii([3.0, 2.0, 4.0])
+    for bad in ([3.0, 2.0, 4.0], [-80.0, 20.0, 40.0], [0.0, 1.0, 2.0]):
+        with pytest.raises(ConfigError):
+            parse_radii(bad)
 
 
 def test_mass_command_schwarzschild(capsys, tmp_path):

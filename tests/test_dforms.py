@@ -21,6 +21,12 @@ from asymflat.dforms import (
     wedge_power,
     zero_form,
 )
+from asymflat.multiindex import (
+    index_position,
+    interior_tensor,
+    merge_sign,
+    multi_indices,
+)
 
 
 def random_form(rng, n, p, q, batch=()):
@@ -273,3 +279,77 @@ def test_bianchi_degree_overflow_raises():
         # (p, 0) on the left and (0, q) on the right map to zero by convention
         assert bianchi(zero_form(n, n, 0), "left").p == n
         assert bianchi(zero_form(n, 0, n), "right").q == n
+
+
+# Loop-built oracles: the dense tables the algebra used before it read every
+# product from the shuffle table, built by brute force over all index pairs.
+
+def oracle_wedge_matrix(n, p1, p2):
+    """W[K, (I, J)] = merge sign when I, J are disjoint and sort to K."""
+    rows1, rows2 = multi_indices(n, p1), multi_indices(n, p2)
+    out_pos = index_position(n, p1 + p2)
+    W = np.zeros((len(out_pos), len(rows1) * len(rows2)))
+    for i, I in enumerate(rows1):
+        for j, J in enumerate(rows2):
+            if not set(I) & set(J):
+                W[out_pos[tuple(sorted(I + J))], i * len(rows2) + j] = merge_sign(I, J)
+    return W
+
+
+def oracle_wedge(a, b):
+    """The dense formula: Kronecker product of the factors times W on each block."""
+    WL = oracle_wedge_matrix(a.n, a.p, b.p)
+    WR = oracle_wedge_matrix(a.n, a.q, b.q)
+    kron = np.einsum("...ij,...kl->...ikjl", a.comps, b.comps)
+    kron = kron.reshape(kron.shape[:-4] + (WL.shape[1], WR.shape[1]))
+    return np.einsum("ai,...ij,bj->...ab", WL, kron, WR, optimize=True)
+
+
+def oracle_hodge(a):
+    """(*a)[I^c, J^c] = sign(I, I^c) sign(J, J^c) a[I, J], one entry at a time."""
+    n = a.n
+    posL, posR = index_position(n, n - a.p), index_position(n, n - a.q)
+    out = np.zeros(a.comps.shape[:-2] + (len(posL), len(posR)))
+    for i, I in enumerate(multi_indices(n, a.p)):
+        Ic = tuple(x for x in range(n) if x not in I)
+        for j, J in enumerate(multi_indices(n, a.q)):
+            Jc = tuple(x for x in range(n) if x not in J)
+            out[..., posL[Ic], posR[Jc]] = (
+                merge_sign(I, Ic) * merge_sign(J, Jc) * a.comps[..., i, j])
+    return out
+
+
+def oracle_interior_tensor(n, p):
+    T = np.zeros((n, len(multi_indices(n, p - 1)), len(multi_indices(n, p))))
+    big_pos = index_position(n, p)
+    for j, J in enumerate(multi_indices(n, p - 1)):
+        for k in range(n):
+            if k not in J:
+                T[k, j, big_pos[tuple(sorted((k,) + J))]] = merge_sign((k,), J)
+    return T
+
+
+@pytest.mark.parametrize("n", CURVED_DIMS)
+def test_wedge_matches_dense_oracle(n):
+    rng = np.random.default_rng(70 + n)
+    for p1, q1 in bidegrees(n):
+        for p2, q2 in bidegrees(n):
+            if p1 + p2 > n or q1 + q2 > n:
+                continue
+            a = random_form(rng, n, p1, q1, batch=(4, 1))
+            b = random_form(rng, n, p2, q2, batch=(1, 3))
+            got = wedge(a, b)
+            ref = oracle_wedge(a, b)
+            assert got.comps.shape == ref.shape == (4, 3) + ref.shape[-2:]
+            err = np.abs(got.comps - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max(), (p1, q1, p2, q2)
+
+
+@pytest.mark.parametrize("n", CURVED_DIMS)
+def test_flat_hodge_and_interior_match_loop_oracles(n):
+    rng = np.random.default_rng(80 + n)
+    for p, q in bidegrees(n):
+        a = random_form(rng, n, p, q, batch=(3,))
+        assert np.array_equal(hodge(a).comps, oracle_hodge(a)), (p, q)
+    for p in range(1, n + 1):
+        assert np.array_equal(interior_tensor(n, p), oracle_interior_tensor(n, p)), p
