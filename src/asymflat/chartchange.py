@@ -5,7 +5,10 @@ A is a Euclidean isometry (orthogonal matrix plus translation) and
 S(x) = x + zeta(x) with a decaying vector field zeta.  The pullback metric
 carries derivatives to order three computed by exact chain rule from the
 polynomial derivatives of zeta; no finite differencing enters, because the
-invariance differences being measured are small.
+invariance differences being measured are small.  `PullbackMetric.jet`
+builds every asked order in one pass: Phi is differentiated once, the base
+metric is read through one `jet` call at Phi(x), and one Faa di Bruno and
+Leibniz expansion yields all orders; `eval`/`d1`/`d2`/`d3` are its levels.
 """
 
 from __future__ import annotations
@@ -123,6 +126,9 @@ def make_diffeo(Q: np.ndarray | None = None, w: np.ndarray | None = None,
             n = zeta.n
     Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)
     w = np.zeros(n) if w is None else np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"translation w: expected {n} coordinates, "
+                         f"got shape {w.shape}")
     if Q.shape != (n, n) or not np.allclose(Q.T @ Q, np.eye(n), atol=1e-12):
         raise ValueError("A must have an orthogonal matrix part")
     jets = []
@@ -181,23 +187,22 @@ def _phi_jets(phi: Diffeo, x: np.ndarray, depth: int) -> list[np.ndarray]:
     return J
 
 
-def _compose_jets(g: MetricField, y: np.ndarray, J: list[np.ndarray], depth: int):
+def _compose_jets(gj: list[np.ndarray], J: list[np.ndarray]):
     """Partial derivatives of g pulled through Phi (Faa di Bruno to order 3).
 
-    `y` = Phi(x) and `J` the derivative arrays of Phi from `_phi_jets`; the
-    base metric is differentiated only to `depth`.
+    `gj` is the base metric's jet [g, dg, ...] at Phi(x), to the depth asked
+    of the pullback, and `J` the derivative arrays of Phi from `_phi_jets`.
     """
-    G = [g.eval(y)]
+    depth = len(gj) - 1
+    G = [gj[0]]
     if depth >= 1:
-        gd1 = g.d1(y)
-        G.append(np.einsum("...cab,...kc->...kab", gd1, J[0]))
+        G.append(np.einsum("...cab,...kc->...kab", gj[1], J[0]))
     if depth >= 2:
-        gd2 = g.d2(y)
-        G.append(np.einsum("...cdab,...kc,...ld->...klab", gd2, J[0], J[0],
+        G.append(np.einsum("...cdab,...kc,...ld->...klab", gj[2], J[0], J[0],
                            optimize=True)
-                 + np.einsum("...cab,...klc->...klab", gd1, J[1]))
+                 + np.einsum("...cab,...klc->...klab", gj[1], J[1]))
     if depth >= 3:
-        gd3 = g.d3(y)
+        gd1, gd2, gd3 = gj[1:]
         J1, J2, J3 = J[:3]
         term = np.einsum("...cdeab,...kc,...ld,...me->...klmab",
                          gd3, J1, J1, J1, optimize=True)
@@ -264,31 +269,31 @@ class PullbackMetric(MetricField):
                 return cand
         raise ChartError("pullback chart escapes the base chart at all sampled radii")
 
-    def _jets(self, x: np.ndarray, depth: int):
-        """Partials of Phi* g to `depth`; Phi is differentiated once, to
-        order depth + 1, and g to order depth."""
+    def jet(self, x, order):
+        """Partials of Phi* g to `order` from one pass: Phi is differentiated
+        once, to order + 1, and the base metric read once, to `order`."""
         x = np.asarray(x, dtype=float)
         self.check_chart(x)
         y = self.phi.apply(x)
         self.base.check_chart(y)
-        J = _phi_jets(self.phi, x, depth)
-        G = _compose_jets(self.base, y, J, depth)
-        jets_J = J[:depth + 1]
+        J = _phi_jets(self.phi, x, order)
+        G = _compose_jets(self.base.jet(y, order), J)
+        jets_J = J[:order + 1]
         jets = [jets_J, G, jets_J]
         return [_leibniz_terms(m, jets, ["ia", "ab", "jb"], "ij")
-                for m in range(depth + 1)]
+                for m in range(order + 1)]
 
     def eval(self, x):
-        return self._jets(x, 0)[0]
+        return self.jet(x, 0)[0]
 
     def d1(self, x):
-        return self._jets(x, 1)[1]
+        return self.jet(x, 1)[1]
 
     def d2(self, x):
-        return self._jets(x, 2)[2]
+        return self.jet(x, 2)[2]
 
     def d3(self, x):
-        return self._jets(x, 3)[3]
+        return self.jet(x, 3)[3]
 
 
 def pullback_metric(phi: Diffeo, g: MetricField) -> PullbackMetric:

@@ -87,6 +87,13 @@ def load_config(args: argparse.Namespace) -> dict:
 
 
 def _validate(cfg: dict) -> None:
+    for key in ("n", "k", "level", "seed", "ell", "rotation_seed"):
+        v = cfg[key]
+        if key == "rotation_seed" and v is None:
+            continue
+        if isinstance(v, bool) or not (isinstance(v, int)
+                                       or isinstance(v, float) and v.is_integer()):
+            raise ConfigError(f"{key}: must be an integer, got {v!r}")
     if cfg["metric"] not in ("schwarzschild", "flat", "rt"):
         raise ConfigError(f"metric: unknown family {cfg['metric']!r}")
     if not 3 <= int(cfg["n"]) <= 8:

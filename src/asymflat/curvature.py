@@ -10,9 +10,9 @@ commutes with the Levi-Civita derivative and the Bianchi maps have constant
 coefficients, so both act level by level.  `ext_deriv` and `codiff` are
 these operators on a field's first-order jet.
 
-Curvature consumers evaluate each metric partial once per call and build
-Christoffel symbols, Riemann and their derivatives from those arrays with
-the private `_..._from_jets` helpers.
+Curvature consumers read the metric through one `MetricField.jet` call and
+build Christoffel symbols, Riemann and their derivatives from those arrays
+with the private `_..._from_jets` helpers.
 """
 
 from __future__ import annotations
@@ -41,13 +41,10 @@ __all__ = [
     "christoffel_d1",
     "riemann",
     "riemann_partial_d1",
-    "riemann_cov_d1",
     "pack_22",
     "DoubleFormField",
     "PolynomialDoubleFormField",
     "deviation_field",
-    "lie_flat",
-    "hess_flat",
     "ext_deriv",
     "codiff",
     "d_left_comps",
@@ -57,7 +54,6 @@ __all__ = [
     "jet_d_left",
     "jet_d_right",
     "jet_hodge",
-    "jet_scale",
     "metric_jet",
     "riemann_jet",
 ]
@@ -69,7 +65,7 @@ __all__ = [
 
 def christoffel(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols Gamma^a_ij, shape (..., a, i, j)."""
-    return _christoffel_from_jets(g.eval(x), g.d1(x))
+    return _christoffel_from_jets(*g.jet(x, 1))
 
 
 def _christoffel_from_jets(G: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -84,7 +80,7 @@ def _christoffel_from_jets(G: np.ndarray, d1: np.ndarray) -> np.ndarray:
 
 def christoffel_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Partial derivatives d_k Gamma^a_ij, shape (..., k, a, i, j)."""
-    return _christoffel_d1_from_jets(g.eval(x), g.d1(x), g.d2(x))
+    return _christoffel_d1_from_jets(*g.jet(x, 2))
 
 
 def _christoffel_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -110,7 +106,7 @@ def _riemann_array(g: MetricField, x: np.ndarray) -> np.ndarray:
     The overall sign is fixed so that the round sphere has positive values on
     (e_i, e_j; e_i, e_j), i.e. R = (lambda/2) g owedge g with lambda > 0.
     """
-    return _riemann_from_jets(g.eval(x), g.d1(x), g.d2(x))
+    return _riemann_from_jets(*g.jet(x, 2))
 
 
 def _riemann_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -138,9 +134,8 @@ def riemann(g: MetricField, x: np.ndarray) -> DoubleForm:
 
 def riemann_partial_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Plain partial derivatives d_m R[i,j,k,l], shape (..., m, n, n, n, n)."""
-    G, d1 = g.eval(x), g.d1(x)
-    return _riemann_partial_d1_from_jets(G, d1, g.d2(x), g.d3(x),
-                                         _christoffel_from_jets(G, d1))
+    G, d1, d2, d3 = g.jet(x, 3)
+    return _riemann_partial_d1_from_jets(G, d1, d2, d3, _christoffel_from_jets(G, d1))
 
 
 def _riemann_partial_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray,
@@ -158,24 +153,6 @@ def _riemann_partial_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray,
     return _RIEMANN_SIGN * (ddd + quad)
 
 
-def riemann_cov_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
-    """Covariant derivative (nabla_m R)[i,j,k,l], shape (..., m, n, n, n, n)."""
-    G, d1, d2 = g.eval(x), g.d1(x), g.d2(x)
-    return _riemann_cov_d1_from_jets(G, d1, d2, g.d3(x), _riemann_from_jets(G, d1, d2))
-
-
-def _riemann_cov_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-                              d3: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """nabla R from the metric jets and the lowered curvature array R."""
-    gam = _christoffel_from_jets(G, d1)
-    dR = _riemann_partial_d1_from_jets(G, d1, d2, d3, gam)
-    corr = (np.einsum("...ami,...ajkl->...mijkl", gam, R)
-            + np.einsum("...amj,...iakl->...mijkl", gam, R)
-            + np.einsum("...amk,...ijal->...mijkl", gam, R)
-            + np.einsum("...aml,...ijka->...mijkl", gam, R))
-    return dR - corr
-
-
 class Connection:
     """Flat background connection or the Levi-Civita connection of a metric."""
 
@@ -189,13 +166,6 @@ class Connection:
             n = x.shape[-1]
             return np.zeros(x.shape[:-1] + (n,) * 3)
         return christoffel(self.g, x)
-
-    def christoffel_d1(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.g is None:
-            n = x.shape[-1]
-            return np.zeros(x.shape[:-1] + (n,) * 4)
-        return christoffel_d1(self.g, x)
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +241,10 @@ def deviation_field(g: MetricField) -> DoubleFormField:
     n = g.n
     return DoubleFormField(
         n, 1, 1,
-        lambda x: g.eval(x) - np.eye(n),
-        lambda x: g.d1(x),
-        lambda x: g.d2(x),
+        lambda x: g.jet(x, 0)[0] - np.eye(n),
+        lambda x: g.jet(x, 1)[1],
+        lambda x: g.jet(x, 2)[2],
     )
-
-
-def lie_flat(zeta_d1: np.ndarray, n: int) -> DoubleForm:
-    """Lie derivative of the flat metric: (L_zeta b)_ij = d_i zeta_j + d_j zeta_i."""
-    arr = zeta_d1 + np.swapaxes(zeta_d1, -1, -2)
-    return DoubleForm(n, 1, 1, arr)
-
-
-def hess_flat(V_d2: np.ndarray, n: int) -> DoubleForm:
-    """Euclidean Hessian of a scalar as a (1,1) double form."""
-    return DoubleForm(n, 1, 1, np.asarray(V_d2, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +274,9 @@ def _cov_d1_comps(comps: np.ndarray, partial: np.ndarray, gamma: np.ndarray | No
     return partial - derivation_action(A, DoubleForm(n, p, q, comps[..., None, :, :])).comps
 
 
-def _first_jet(omega: DoubleFormField, x: np.ndarray, conn: Connection | None) -> Jet:
-    """Depth-1 covariant jet of a field at x in the connection `conn`."""
-    gamma = None if conn is None or conn.g is None else conn.christoffel(x)
+def _first_jet(omega: DoubleFormField, x: np.ndarray, gamma: np.ndarray | None) -> Jet:
+    """Depth-1 covariant jet of a field at x for the Christoffel symbols
+    `gamma` (None: the flat connection)."""
     return jet_from_partials(omega.n, omega.p, omega.q, omega.eval(x).comps,
                              omega.d1(x), gamma=gamma)
 
@@ -333,7 +292,9 @@ def _jet_d(a: Jet, side: str) -> Jet:
 def ext_deriv(omega: DoubleFormField, x: np.ndarray, side: str = "left",
               conn: Connection | None = None) -> DoubleForm:
     """Exterior derivative of a double-form field at x (left or right)."""
-    return _jet_d(_first_jet(omega, np.asarray(x, dtype=float), conn), side).form()
+    x = np.asarray(x, dtype=float)
+    gamma = None if conn is None or conn.g is None else conn.christoffel(x)
+    return _jet_d(_first_jet(omega, x, gamma), side).form()
 
 
 def codiff_sign(n: int, p: int, q: int, side: str) -> float:
@@ -352,9 +313,12 @@ def codiff(omega: DoubleFormField, x: np.ndarray, side: str = "left",
     commutes with the covariant derivative, so it acts on every jet level.
     """
     x = np.asarray(x, dtype=float)
-    if G is None and conn is not None and conn.g is not None:
-        G = PointMetric(conn.g.eval(x))
-    d_star = _jet_d(jet_hodge(_first_jet(omega, x, conn), G), side)
+    gamma = None
+    if conn is not None and conn.g is not None:
+        Gx, d1 = conn.g.jet(x, 1)
+        gamma = _christoffel_from_jets(Gx, d1)
+        G = PointMetric(Gx) if G is None else G
+    d_star = _jet_d(jet_hodge(_first_jet(omega, x, gamma), G), side)
     return -codiff_sign(omega.n, omega.p, omega.q, side) * hodge(d_star.form(), G)
 
 
@@ -409,10 +373,6 @@ def jet_from_partials(n: int, p: int, q: int, comps: np.ndarray,
                         - act(A[..., :, None, :, :], cov1[..., None, :, :, :]))
                 levels.append(cov2)
     return Jet(n, p, q, levels)
-
-
-def jet_scale(a: Jet, c: float) -> Jet:
-    return Jet(a.n, a.p, a.q, [c * lv for lv in a.levels])
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
@@ -493,14 +453,18 @@ def metric_jet(n: int, G: np.ndarray | None = None, depth: int = 1,
 
 
 def riemann_jet(g: MetricField, x: np.ndarray, depth: int = 1) -> Jet:
-    """Curvature of g at x as a jet (depth 0 or 1); each metric jet is
-    evaluated once."""
+    """Curvature of g at x as a jet (depth 0 or 1) from one metric jet.
+
+    Depth 1 takes the covariant derivative of the plain Riemann partials
+    through `jet_from_partials`, the path every other field takes.
+    """
     if depth >= 2:
         raise ValueError("riemann_jet supports depth <= 1")
-    G, d1, d2 = g.eval(x), g.d1(x), g.d2(x)
-    R = _riemann_from_jets(G, d1, d2)
-    levels = [pack_22(R, g.n).comps]
-    if depth >= 1:
-        covd = _riemann_cov_d1_from_jets(G, d1, d2, g.d3(x), R)
-        levels.append(pack_22(covd, g.n).comps)
-    return Jet(g.n, 2, 2, levels)
+    n = g.n
+    jets = g.jet(x, depth + 2)
+    R = pack_22(_riemann_from_jets(*jets[:3]), n).comps
+    if depth == 0:
+        return Jet(n, 2, 2, [R])
+    gam = _christoffel_from_jets(*jets[:2])
+    dR = pack_22(_riemann_partial_d1_from_jets(*jets, gam), n).comps
+    return jet_from_partials(n, 2, 2, R, dR, gamma=gam)

@@ -76,10 +76,9 @@ class GBCContext:
 
 def _point_data(g: MetricField, x: np.ndarray):
     """The metric G at x and the curvature R# with its left block raised."""
-    x = np.asarray(x, dtype=float)
-    G = g.eval(x)
+    G, d1, d2 = g.jet(np.asarray(x, dtype=float), 2)
     Ginv = np.linalg.inv(G)
-    R = _riemann_from_jets(G, g.d1(x), g.d2(x))
+    R = _riemann_from_jets(G, d1, d2)
     R_sharp = np.einsum("...ai,...bj,...ijkl->...abkl", Ginv, Ginv, R,
                         optimize=True)
     return G, pack_22(R_sharp, g.n)
@@ -144,7 +143,7 @@ def variation_residual(g: MetricField, h: DoubleFormField, x: np.ndarray,
     is flat.
     """
     x = np.asarray(x, dtype=float)
-    G, d1, d2 = g.eval(x), g.d1(x), g.d2(x)
+    G, d1, d2 = g.jet(x, 2)
     h0, h1, h2 = eps * h.eval(x).comps, eps * h.d1(x), eps * h.d2(x)
     if np.any(np.linalg.eigvalsh(G + h0) <= 0):
         raise ValueError("perturbed metric not positive-definite")

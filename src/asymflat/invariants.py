@@ -20,7 +20,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
 
 from .dforms import DoubleForm, coform, hodge, wedge, wedge_power
-from .curvature import _riemann_from_jets, d_right_comps, pack_22, riemann
+from .curvature import _riemann_from_jets, d_right_comps, pack_22
 from .fields import MetricField
 from .gbc import GBCContext, lovelock
 from .kernels import center_kernel, mass_kernel
@@ -142,7 +142,7 @@ def _flux_integrands(g: MetricField, x: np.ndarray, nu: np.ndarray,
                      ctx: GBCContext, center: bool) -> np.ndarray:
     """Mass flux scalar, then (when `center`) the n center fluxes, shape (..., 1 + n).
 
-    Each base metric jet is evaluated once per call; the folded kernels of
+    The metric is read through one `jet` call; the folded kernels of
     the `kernels` module replace the wedges, stars and pairings of the
     dense reference `_flux_form` / `_center_form`.
     """
@@ -151,12 +151,12 @@ def _flux_integrands(g: MetricField, x: np.ndarray, nu: np.ndarray,
     nu = np.asarray(nu, dtype=float)
     g.check_chart(x)
     batch = x.shape[:-1]
-    G = g.eval(x) if center or k >= 2 else None
-    d1 = g.d1(x)
+    jets = g.jet(x, 1 if k == 1 else 2)
+    G, d1 = jets[:2]
     if k == 1:
         P = np.ones(batch + (1,))
     else:
-        R = pack_22(_riemann_from_jets(G, d1, g.d2(x)), n)
+        R = pack_22(_riemann_from_jets(*jets), n)
         P = (R if k == 2 else wedge_power(R, k - 1)).comps.reshape(batch + (-1,))
     star = mass_kernel(n, k)(d1.reshape(batch + (-1,)), P)
     mass = np.einsum("...i,...i->...", star, nu)
@@ -168,18 +168,31 @@ def _flux_integrands(g: MetricField, x: np.ndarray, nu: np.ndarray,
     return np.concatenate([mass[..., None], axes], axis=-1)
 
 
+def _dense_factors(g: MetricField, x: np.ndarray, ctx: GBCContext):
+    """G, its first partials and R^{k-1} (None for k = 1) at x from one jet."""
+    x = np.asarray(x, dtype=float)
+    g.check_chart(x)
+    jets = g.jet(x, 1 if ctx.k == 1 else 2)
+    if ctx.k == 1:
+        return jets[0], jets[1], None
+    R = pack_22(_riemann_from_jets(*jets), ctx.n)
+    return jets[0], jets[1], wedge_power(R, ctx.k - 1)
+
+
+def _wedge_tail(form: DoubleForm, W: DoubleForm | None, ctx: GBCContext) -> DoubleForm:
+    """form owedge W owedge b^{n-2k}, with W = R^{k-1} left out for k = 1."""
+    if W is not None:
+        form = wedge(form, W)
+    if ctx.n - 2 * ctx.k > 0:
+        form = wedge(form, ctx.b_power)
+    return form
+
+
 def _flux_form(g: MetricField, x: np.ndarray, ctx: GBCContext) -> DoubleForm:
     """The (n-1, n) double form D~e owedge R^{k-1} owedge b^{n-2k} at x
     (dense reference of the folded mass kernel)."""
-    n, k = ctx.n, ctx.k
-    x = np.asarray(x, dtype=float)
-    g.check_chart(x)
-    out = d_right_comps(n, 1, 1, g.d1(x))
-    if k >= 2:
-        out = wedge(out, wedge_power(riemann(g, x), k - 1))
-    if n - 2 * k > 0:
-        out = wedge(out, ctx.b_power)
-    return out
+    _, d1, W = _dense_factors(g, x, ctx)
+    return _wedge_tail(d_right_comps(ctx.n, 1, 1, d1), W, ctx)
 
 
 def _pair_normal(form_1_0: DoubleForm, nu: np.ndarray) -> np.ndarray:
@@ -212,7 +225,7 @@ def adm_integrand_coordinate(g: MetricField, x: np.ndarray,
     """Coordinate ADM integrand (d_i g_ij - d_j g_ii) nu^j."""
     x = np.asarray(x, dtype=float)
     g.check_chart(x)
-    d1 = g.d1(x)
+    d1 = g.jet(x, 1)[1]
     t1 = np.einsum("...iij->...j", d1)
     t2 = np.einsum("...jii->...j", d1)
     return np.einsum("...j,...j->...", t1 - t2, np.asarray(nu, dtype=float))
@@ -221,18 +234,15 @@ def adm_integrand_coordinate(g: MetricField, x: np.ndarray,
 def _center_form(g: MetricField, x: np.ndarray, ctx: GBCContext,
                  axis: int) -> np.ndarray:
     """Components of x^i D~e owedge W - D~x^i owedge e owedge W at x."""
-    n, k = ctx.n, ctx.k
-    omega = _flux_form(g, x, ctx)
-    first = x[..., axis, None, None] * omega.comps
+    n = ctx.n
+    x = np.asarray(x, dtype=float)
+    G, d1, W = _dense_factors(g, x, ctx)
+    first = _wedge_tail(d_right_comps(n, 1, 1, d1), W, ctx)
     # D~ x^i = -e~_i as a (0,1) form
     dV = np.zeros(x.shape[:-1] + (n,))
     dV[..., axis] = -1.0
-    second = wedge(coform(n, dV), DoubleForm(n, 1, 1, g.deviation(x)))
-    if k >= 2:
-        second = wedge(second, wedge_power(riemann(g, x), k - 1))
-    if n - 2 * k > 0:
-        second = wedge(second, ctx.b_power)
-    return first - second.comps
+    second = wedge(coform(n, dV), DoubleForm(n, 1, 1, G - np.eye(n)))
+    return x[..., axis, None, None] * first.comps - _wedge_tail(second, W, ctx).comps
 
 
 def center_integrand(g: MetricField, x: np.ndarray, nu: np.ndarray,

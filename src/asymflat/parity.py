@@ -125,18 +125,6 @@ def _slope_of_sups(radii, sups: np.ndarray, floor: float) -> float:
     return float(coef[1])
 
 
-def _deriv_arrays(g: MetricField, x: np.ndarray, order: int) -> np.ndarray:
-    if order == 0:
-        return g.deviation(x)
-    if order == 1:
-        return g.d1(x)
-    if order == 2:
-        return g.d2(x)
-    if order == 3:
-        return g.d3(x)
-    raise ValueError("derivative order must be 0..3")
-
-
 def _tensor_norm(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(arr * arr, axis=tuple(range(1, arr.ndim))))
 
@@ -155,31 +143,28 @@ def rt_check(g: MetricField, tau: float, ell: int, radii,
             f"rt_check to order {ell} needs regularity >= {ell}, got {g.regularity}")
     radii = [float(r) for r in radii]
     dirs = sphere_sample(g.n, samples_per_sphere)
+    # one jet at the sampled points of each sphere and one at their
+    # antipodes; sups[m] holds the full, even and odd sups of order m
+    sups = np.empty((ell + 1, 3, len(radii)))
+    for j, r in enumerate(radii):
+        x = r * dirs
+        plus, minus = g.jet(x, ell), g.jet(-x, ell)
+        plus[0], minus[0] = plus[0] - np.eye(g.n), minus[0] - np.eye(g.n)
+        for m in range(ell + 1):
+            sign = (-1.0) ** m  # (p+q) of e is even; each derivative flips once
+            parts = (plus[m], 0.5 * (plus[m] + sign * minus[m]),
+                     0.5 * (plus[m] - sign * minus[m]))
+            sups[m, :, j] = [np.max(np.abs(_tensor_norm(a))) for a in parts]
     names = ["e", "de", "dde", "ddde"]
     reports = []
     for m in range(ell + 1):
-        sign = (-1.0) ** m  # (p+q) of e is even; each derivative flips once
-
-        def norm_full(x, m=m):
-            return _tensor_norm(_deriv_arrays(g, x, m))
-
-        def norm_even(x, m=m, sign=sign):
-            arr = 0.5 * (_deriv_arrays(g, x, m) + sign * _deriv_arrays(g, -x, m))
-            return _tensor_norm(arr)
-
-        def norm_odd(x, m=m, sign=sign):
-            arr = 0.5 * (_deriv_arrays(g, x, m) - sign * _deriv_arrays(g, -x, m))
-            return _tensor_norm(arr)
-
-        full_sups = _sup_curve(norm_full, radii, dirs)
+        full_sups, even_sups, odd_sups = sups[m]
         # parity parts that are pure roundoff relative to the full component
         # count as identically zero
         floor = max(1e-290, 1e-11 * float(full_sups.max()))
         slope = _slope_of_sups(radii, full_sups, floor=1e-290)
-        even_slope = _slope_of_sups(radii, _sup_curve(norm_even, radii, dirs),
-                                    floor=floor)
-        odd_slope = _slope_of_sups(radii, _sup_curve(norm_odd, radii, dirs),
-                                   floor=floor)
+        even_slope = _slope_of_sups(radii, even_sups, floor=floor)
+        odd_slope = _slope_of_sups(radii, odd_sups, floor=floor)
         req = -(tau + m)
         req_odd = -(tau + 1.0 + m)
         passed = (slope <= req + slack) and (odd_slope <= req_odd + slack)

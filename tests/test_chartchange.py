@@ -160,3 +160,52 @@ def test_pullback_differentiates_phi_and_base_only_as_deep_as_asked():
         assert max(orders) <= depth + 1, method
         assert base.calls == {m: int(i <= depth) for i, m in
                               enumerate(("eval", "d1", "d2", "d3"))}, method
+
+
+def test_pullback_jet_levels_equal_single_order_calls():
+    phi = make_diffeo(Q=rotation(4, 3), w=np.array([0.3, 0.0, -0.2, 0.1]),
+                      zeta=zeta_harmonic(4, 0.2, 1.6), tau_prime=1.6, n=4)
+    gp = pullback_metric(phi, make_schwarzschild(4, 1, 1.0))
+    x = np.array([[30.0, -10.0, 20.0, 5.0], [5.0, 25.0, -20.0, 12.0]])
+    levels = gp.jet(x, 3)
+    singles = [gp.eval(x), gp.d1(x), gp.d2(x), gp.d3(x)]
+    assert all(np.array_equal(a, b) for a, b in zip(levels, singles))
+
+
+def test_pullback_consumers_build_the_pullback_once():
+    from asymflat.gbc import lovelock
+    from asymflat.invariants import _flux_integrands
+
+    n = 5
+    phi = make_diffeo(Q=rotation(n, 4), w=np.array([0.3, 0.0, -0.2, 0.1, 0.0]),
+                      zeta=zeta_harmonic(n, 0.2, 1.6), tau_prime=1.6, n=n)
+    orders = []
+    zeta_jet = phi.zeta_jet
+
+    def recording(x, order):
+        orders.append(order)
+        return zeta_jet(x, order)
+
+    phi.zeta_jet = recording
+    base = CountingMetric(make_schwarzschild(n, 2, 1.0))
+    gp = pullback_metric(phi, base)
+    ctx = GBCContext(n, 2)
+    x = np.array([[30.0, -10.0, 20.0, 5.0, 0.0], [5.0, 25.0, -20.0, 0.0, 12.0]])
+    nu = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    consumers = {
+        "mass": lambda: _flux_integrands(gp, x, nu, ctx, center=False),
+        "center": lambda: _flux_integrands(gp, x, nu, ctx, center=True),
+        "lovelock": lambda: lovelock(gp, x, ctx),
+    }
+    for name, call in consumers.items():
+        orders.clear()
+        base.calls = dict.fromkeys(base.calls, 0)
+        call()
+        assert base.calls == {"eval": 1, "d1": 1, "d2": 1, "d3": 0}, name
+        assert sorted(orders) == [0, 1, 2, 3], name
+
+
+def test_make_diffeo_rejects_wrong_length_translation():
+    for w in ([5.0], [1.0, 1.0], [[1.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="translation"):
+            make_diffeo(w=np.asarray(w), n=3)

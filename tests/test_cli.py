@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from asymflat.cli import main, parse_radii, ConfigError
+from asymflat.cli import DEFAULTS, ConfigError, _validate, main, parse_radii
 
 
 def run(args, capsys):
@@ -84,6 +84,32 @@ def test_invalid_flag_value_exits_1(capsys):
     code, _, err = run(["mass", "--n", "9"], capsys)
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("center", {"n": 3, "center": [1.0]}, "center"),
+    ("center", {"n": 3, "center": [1.0, 1.0]}, "center"),
+    ("invariance", {"n": 3, "translation": [5.0]}, "translation"),
+    ("mass", {"n": 3.7, "level": 4.9}, "n"),
+    ("mass", {"level": 4.9}, "level"),
+    ("mass", {"k": True}, "k"),
+    ("mass", {"n": "3"}, "n"),
+    ("verify", {"seed": 0.5}, "seed"),
+    ("rtcheck", {"ell": 1.5}, "ell"),
+    ("invariance", {"rotation_seed": 2.5}, "rotation_seed"),
+])
+def test_invalid_config_value_exits_1(capsys, tmp_path, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run([command, "--config", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and key in err
+
+
+def test_integral_floats_and_null_rotation_seed_are_accepted():
+    for extra in ({"n": 3.0, "level": 6.0}, {"rotation_seed": None},
+                  {"rotation_seed": 2**31 - 1, "seed": 12.0, "ell": 1}):
+        _validate({**DEFAULTS, **extra})
 
 
 def test_center_command(capsys, tmp_path):

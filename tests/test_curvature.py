@@ -21,7 +21,6 @@ from asymflat.curvature import (
     jet_wedge,
     metric_jet,
     riemann,
-    riemann_cov_d1,
     riemann_jet,
 )
 from asymflat.curvature import (
@@ -51,6 +50,7 @@ from asymflat.fields import (
     make_schwarzschild,
 )
 from asymflat.gbc import GBCContext, lovelock, variation_residual
+from asymflat.invariants import _center_form, _flux_integrands
 
 from conftest import CountingMetric, RoundSphereChart
 
@@ -111,11 +111,32 @@ def test_riemann_symmetries_and_bianchi():
     assert np.abs(bianchi(R, "left").comps).max() < 1e-11
 
 
+def _unpack_22(comps, n):
+    """The full 4-index array of packed (2,2) components, antisymmetric in
+    (0,1) and (2,3)."""
+    full = np.zeros(comps.shape[:-2] + (n,) * 4)
+    pairs = list(combinations(range(n), 2))
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            v = comps[..., a, b]
+            full[..., i, j, k, l] = full[..., j, i, l, k] = v
+            full[..., j, i, k, l] = full[..., i, j, l, k] = -v
+    return full
+
+
+def _connection_correction(gam, R):
+    """The four connection terms of nabla_m R_ijkl from its plain partials."""
+    return (np.einsum("...ami,...ajkl->...mijkl", gam, R)
+            + np.einsum("...amj,...iakl->...mijkl", gam, R)
+            + np.einsum("...amk,...ijal->...mijkl", gam, R)
+            + np.einsum("...aml,...ijka->...mijkl", gam, R))
+
+
 def test_second_bianchi_identity():
     # cyclic sum of nabla_m R_{ij k l} over (m, i, j) vanishes
     g = make_schwarzschild(3, 1, 1.0)
     x = np.array([3.0, -1.0, 2.0])
-    cov = riemann_cov_d1(g, x)
+    cov = _unpack_22(riemann_jet(g, x, 1).levels[1], 3)
     cyc = cov + np.einsum("...mijkl->...ijmkl", cov) + np.einsum("...mijkl->...jmikl", cov)
     assert np.abs(cyc).max() < 1e-10
 
@@ -131,13 +152,25 @@ def test_riemann_cov_d1_matches_fd_in_normalish_chart():
         e = np.zeros(3)
         e[m] = h
         dR_fd[m] = (_riemann_array(g, x + e) - _riemann_array(g, x - e)) / (2 * h)
-    R = _riemann_array(g, x)
-    gam = christoffel(g, x)
-    corr = (np.einsum("...ami,...ajkl->...mijkl", gam, R)
-            + np.einsum("...amj,...iakl->...mijkl", gam, R)
-            + np.einsum("...amk,...ijal->...mijkl", gam, R)
-            + np.einsum("...aml,...ijka->...mijkl", gam, R))
-    assert np.abs(riemann_cov_d1(g, x) - (dR_fd - corr)).max() < 1e-8
+    corr = _connection_correction(christoffel(g, x), _riemann_array(g, x))
+    cov = riemann_jet(g, x, 1).levels[1]
+    assert np.abs(cov - pack_22(dR_fd - corr, 3).comps).max() < 1e-8
+
+
+def test_riemann_jet_matches_explicit_connection_correction():
+    # the packed derivation action equals the four-term n^5 correction of
+    # the exact partials
+    cases = [(make_schwarzschild(5, 2, 1.0, center=[0.3, 0, 0, -0.2, 0]),
+              np.array([[6.0, -2.0, 3.0, 1.0, -4.0], [2.0, 5.0, -1.0, 3.0, 2.5]])),
+             (make_schwarzschild(3, 1, 1.0), np.array([[3.0, -1.0, 2.0], [0.5, 2.5, -2.0]])),
+             (make_rt_perturbation(4, 1.0, seed=2, parity="mixed", amplitude=0.3),
+              np.array([[3.0, -1.0, 2.0, 0.5], [0.2, 4.0, -1.5, 2.5]]))]
+    for g, x in cases:
+        oracle = riemann_partial_d1(g, x) - _connection_correction(
+            christoffel(g, x), _riemann_from_jets(g.eval(x), g.d1(x), g.d2(x)))
+        ref = pack_22(oracle, g.n).comps
+        cov = riemann_jet(g, x, 1).levels[1]
+        assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_ext_deriv_flat_squares_to_zero():
@@ -308,16 +341,23 @@ def test_curved_codiff_of_gradient_is_laplace_beltrami(g):
 
 def test_curvature_consumers_evaluate_each_metric_jet_once():
     x = np.array([[3.0, -1.0, 2.0], [0.5, 2.5, -2.0]])
+    nu = x / np.linalg.norm(x, axis=-1, keepdims=True)
     base = make_schwarzschild(3, 1, 1.0, center=[0.5, 0.0, 0.0])
     h = PolynomialDoubleFormField.random(3, 1, 1, seed=4)
+    ctx = GBCContext(3, 1)
     consumers = {
+        "christoffel": (lambda g: christoffel(g, x), ("eval", "d1")),
+        "riemann": (lambda g: riemann(g, x), ("eval", "d1", "d2")),
         "riemann_jet": (lambda g: riemann_jet(g, x, 1), ("eval", "d1", "d2", "d3")),
-        "riemann_cov_d1": (lambda g: riemann_cov_d1(g, x), ("eval", "d1", "d2", "d3")),
         "riemann_partial_d1": (lambda g: riemann_partial_d1(g, x), ("eval", "d1", "d2", "d3")),
         "christoffel_d1": (lambda g: christoffel_d1(g, x), ("eval", "d1", "d2")),
-        "lovelock": (lambda g: lovelock(g, x, GBCContext(3, 1)), ("eval", "d1", "d2")),
+        "lovelock": (lambda g: lovelock(g, x, ctx), ("eval", "d1", "d2")),
         "variation_residual": (lambda g: variation_residual(g, h, x, 1e-4),
                                ("eval", "d1", "d2")),
+        "_flux_integrands": (lambda g: _flux_integrands(g, x, nu, ctx, center=True),
+                             ("eval", "d1")),
+        "_center_form": (lambda g: _center_form(g, x, ctx, 0), ("eval", "d1")),
+        "codiff": (lambda g: codiff(h, x, "left", conn=Connection(g)), ("eval", "d1")),
     }
     for name, (call, used) in consumers.items():
         g = CountingMetric(base)

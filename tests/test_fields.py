@@ -103,6 +103,23 @@ def test_schwarzschild_requires_n_above_2k():
         make_schwarzschild(4, 2, 1.0)
 
 
+def test_schwarzschild_rejects_wrong_length_center():
+    for center in ([1.0], [1.0, 1.0], 1.0, [[1.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="center"):
+            make_schwarzschild(3, 1, 1.0, center=center)
+
+
+def test_default_jet_is_the_single_order_calls():
+    g = make_rt_perturbation(4, 1.0, seed=2, parity="mixed", amplitude=0.3)
+    x = np.array([[3.0, -1.0, 2.0, 0.5], [0.2, 4.0, -1.5, 2.5]])
+    jet = g.jet(x, 3)
+    singles = [g.eval(x), g.d1(x), g.d2(x), g.d3(x)]
+    assert all(np.array_equal(a, b) for a, b in zip(jet, singles))
+    assert len(g.jet(x, 1)) == 2
+    with pytest.raises(ValueError):
+        g.jet(x, 4)
+
+
 def test_chart_error_below_r_min():
     g = make_schwarzschild(3, 1, 2.0)
     with pytest.raises(ChartError):
