@@ -381,10 +381,9 @@ def invariance_report(g: MetricField, phi: Diffeo, ctx: GBCContext, radii,
         mk_g, mk_p = a * lim_g, a * lim_p
         c = cal["c"]
         for axis, (cg, cp) in enumerate(zip(curves_g[1:], curves_p[1:])):
-            vg = c * extrapolate(cg, step=step)[0] / mk_g ** ctx.k
-            vp = c * extrapolate(cp, step=step)[0] / mk_p ** ctx.k
-            rows = [(r, c * a_ / mk_g ** ctx.k, c * b_ / mk_p ** ctx.k,
-                     c * b_ / mk_p ** ctx.k - c * a_ / mk_g ** ctx.k)
+            vg = c * extrapolate(cg, step=step)[0] / mk_g
+            vp = c * extrapolate(cp, step=step)[0] / mk_p
+            rows = [(r, c * a_ / mk_g, c * b_ / mk_p, c * b_ / mk_p - c * a_ / mk_g)
                     for (r, a_), (_, b_) in zip(cg, cp)]
             delta = vp - vg
             reports.append(InvarianceReport(

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -105,6 +106,13 @@ def _validate(cfg: dict) -> None:
     if cfg["format"] not in ("json", "csv", "both"):
         raise ConfigError(f"format: must be json, csv, or both, got {cfg['format']!r}")
     parse_radii(cfg["radii"])
+    if cfg["step"] is not None:
+        try:
+            step = float(cfg["step"])
+        except (TypeError, ValueError):
+            step = math.nan
+        if not (math.isfinite(step) and step > 0):
+            raise ConfigError(f"step: must be finite and > 0, got {cfg['step']!r}")
     if cfg["zeta"] not in ("none", "radial", "harmonic"):
         raise ConfigError(f"zeta: unknown family {cfg['zeta']!r}")
 
@@ -241,9 +249,9 @@ def cmd_curvcenter(cfg: dict) -> int:
     mass, centers = gbc_mass_center(g, ctx, radii, level=level, step=step)
     curv = curvature_center(g, ctx, radii, level=level, step=step)
     payload = {}
-    print("axis   curvature-flux limit     ratio to (m_k)^k C^a")
+    print("axis   curvature-flux limit     ratio to m_k C^a")
     for i, res in enumerate(curv):
-        denom = mass.limit ** ctx.k * centers[i].limit
+        denom = mass.limit * centers[i].limit
         ratio = res.limit / denom if abs(denom) > 1e-12 else float("nan")
         print(f"{i:4d}   {res.limit:+.10e}   {ratio:+.6g}")
         d = res.to_dict()

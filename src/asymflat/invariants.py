@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import roots_jacobi
 
 from .dforms import DoubleForm, coform, hodge, wedge, wedge_power
 from .curvature import _riemann_from_jets, d_right_comps, pack_22
@@ -68,12 +66,51 @@ class SphereRule:
     normals: np.ndarray  # (N, n), outward Euclidean unit normals
 
 
+@lru_cache(maxsize=None)
+def _jacobi_rule(level: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of `level` nodes for the weight (1 - u^2)^a on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the zero-diagonal Jacobi
+    matrix of the monic recurrence p_{j+1} = u p_j - beta_j p_{j-1}, with
+    beta_j = j (j + 2a) / ((2j + 2a + 1) (2j + 2a - 1)), polished by one
+    Newton step on that recurrence; the Christoffel weights
+    1 / (p_{N-1} p'_N) are symmetrized and scaled to the weight's mass
+    mu_0 = 2^(2a+1) Gamma(a+1)^2 / Gamma(2a+2).  Cached read-only.
+    """
+    j = np.arange(1, level, dtype=float)
+    beta = j * (j + 2 * a) / ((2 * j + 2 * a + 1) * (2 * j + 2 * a - 1))
+    off = np.sqrt(beta)
+    u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+
+    def recurrence(u):
+        """p_{N-1}(u), p_N(u) and p'_N(u) of the monic recurrence."""
+        p_prev, p = np.zeros_like(u), np.ones_like(u)
+        dp_prev, dp = np.zeros_like(u), np.zeros_like(u)
+        for b in np.concatenate([[0.0], beta]):
+            p_prev, p, dp_prev, dp = (p, u * p - b * p_prev,
+                                      dp, p + u * dp - b * dp_prev)
+        return p_prev, p, dp
+
+    _, p, dp = recurrence(u)
+    u = u - p / dp
+    p_prev, _, dp = recurrence(u)
+    w = 1.0 / (p_prev * dp)
+    u = (u - u[::-1]) / 2
+    w = (w + w[::-1]) / 2
+    w *= 2.0 ** (2 * a + 1) * math.gamma(a + 1) ** 2 / math.gamma(2 * a + 2) / w.sum()
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
 @lru_cache(maxsize=64)
 def sphere_rule(n: int, r: float, level: int) -> SphereRule:
     """Tensor-product rule: Gauss-Jacobi in each polar cosine, uniform azimuth.
 
     `level` is the number of nodes per polar angle; the azimuthal circle gets
     2*level equispaced nodes (exact for trigonometric degree < 2*level).
+    Each polar rule is Golub-Welsch plus one Newton polish of its nodes
+    (`_jacobi_rule`, Golub & Welsch, Math. Comp. 23, 1969).
     """
     if not 3 <= n <= 8:
         raise ValueError(f"sphere_rule supports 3 <= n <= 8, got {n}")
@@ -86,7 +123,7 @@ def sphere_rule(n: int, r: float, level: int) -> SphereRule:
     ws = []
     for j in range(1, n - 1):
         a = (n - 1 - j - 1) / 2.0  # weight (1-u^2)^a du with u = cos t_j
-        u, w = roots_jacobi(level, a, a)
+        u, w = _jacobi_rule(level, a)
         ts.append(u)
         ws.append(w)
     phi = (2.0 * math.pi / (2 * level)) * np.arange(2 * level)
@@ -285,6 +322,77 @@ def curvature_center_integrand(g: MetricField, x: np.ndarray, nu: np.ndarray,
 # extrapolation and results
 # ---------------------------------------------------------------------------
 
+def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> float:
+    """Bounded Brent minimization of a scalar function on [lo, hi].
+
+    Golden-section steps safeguarded by parabolic interpolation (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5), with
+    the operations, their order and the stopping rule of scipy's
+    `minimize_scalar(method="bounded")` (at most 500 evaluations), which
+    the tests hold it bit-equal to.  Returns the best abscissa.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < 500:
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step through the best three
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf
+
+
 def extrapolate(samples: list[tuple[float, float]], s: float | None = None,
                 step: float | None = None,
                 terms: int | None = None) -> tuple[float, float, float]:
@@ -293,11 +401,16 @@ def extrapolate(samples: list[tuple[float, float]], s: float | None = None,
     The model is value(r) = c0 + sum_j c_j r^{-s j} with a single ladder
     spacing.  When `step` is given the spacing is known exactly (Richardson
     fit on the ladder step, 2 step, ...); otherwise the spacing s > 0 is
-    profiled out by a bounded scalar minimization with one ladder rung
-    withheld to keep the fit conditioned.  `terms` caps the ladder depth
-    (default: all but two samples).  A constant sequence returns
-    (constant, nan, 0).
+    profiled out on [0.05, 20] by bounded Brent minimization
+    (`_minimize_bounded`, xatol 1e-10) with one ladder rung withheld to
+    keep the fit conditioned.  A given spacing (`step`, else `s`) must be
+    finite and > 0.  `terms` caps the ladder depth (default: all but two
+    samples).  A constant sequence returns (constant, nan, 0).
     """
+    if step is not None:
+        s = float(step)
+    if s is not None and not (math.isfinite(s) and s > 0):
+        raise ValueError(f"step: the ladder spacing must be finite and > 0, got {s!r}")
     if len(samples) < 3:
         raise ValueError("extrapolation needs at least 3 samples")
     rs = np.array([float(r) for r, _ in samples])
@@ -318,13 +431,9 @@ def extrapolate(samples: list[tuple[float, float]], s: float | None = None,
         coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
         return coef, np.abs(A @ coef - vals).max()
 
-    if step is not None:
-        s = float(step)
-    elif s is None:
-        res = minimize_scalar(lambda sv: resid(sv, max(1, nterms - 1))[1],
-                              bounds=(0.05, 20.0), method="bounded",
-                              options={"xatol": 1e-10})
-        s = float(res.x)
+    if s is None:
+        s = _minimize_bounded(lambda sv: resid(sv, max(1, nterms - 1))[1],
+                              0.05, 20.0, xatol=1e-10)
     coef, rmax = resid(s, nterms)
     return float(coef[0]), float(s), float(rmax)
 
@@ -462,12 +571,11 @@ def _center_results(curves: list, ctx: GBCContext, mass: InvariantResult,
     if abs(mk) < 1e-12:
         raise ValueError("center of mass undefined: vanishing mass")
     c = calibration_constants(ctx.n, ctx.k)["c"]
-    denom = mk ** ctx.k
     results = []
     for per_radius in curves:
         limit, s, resid = extrapolate(per_radius, step=step)
         results.append(InvariantResult(
-            per_radius, c * limit / denom, s, abs(c) * resid / abs(denom),
+            per_radius, c * limit / mk, s, abs(c) * resid / abs(mk),
             constant_used=c,
             converged=_flag_convergence(limit, resid, per_radius)))
     return results
@@ -508,7 +616,7 @@ def gbc_mass_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
 def gbc_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
                mass: InvariantResult | None = None,
                step: float | None = None) -> list[InvariantResult]:
-    """Per-axis center of mass C^i = c_{n,k} (raw limit)_i / (m_k)^k.
+    """Per-axis center of mass C^i = c_{n,k} (raw limit)_i / m_k.
 
     Every axis comes from one pass per radius, and so does the mass when
     `mass` is not given.
@@ -542,7 +650,7 @@ def measure_calibration(n: int, k: int, radii=None, level: int = 8) -> dict[str,
     a: makes the prefactored mass of g_{S,k,m=1} equal 1.
     c: makes the first coordinate of the center of a Schwarzschild field
        translated by (1, 0, ..., 0) equal 1.
-    b: ratio of the curvature-center flux to (m_k)^k * C^alpha.
+    b: ratio of the curvature-center flux to m_k * C^alpha.
     """
     from .fields import make_schwarzschild
     if radii is None:
@@ -560,10 +668,10 @@ def measure_calibration(n: int, k: int, radii=None, level: int = 8) -> dict[str,
     curves = _raw_flux_curves(gt, ctx, radii, level)
     mass_t = extrapolate(curves[0], step=step)[0] * a
     raw_center = extrapolate(curves[1], step=step)[0]
-    c = mass_t ** k / raw_center
+    c = mass_t / raw_center
 
     cc = extrapolate(_curv_curve(gt, ctx, radii, level, 0), step=step)[0]
-    b = cc / (mass_t ** k * 1.0)
+    b = cc / (mass_t * 1.0)
     return {"a": float(a), "c": float(c), "b": float(b)}
 
 

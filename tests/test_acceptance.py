@@ -245,7 +245,7 @@ def _ratio(n, k, m, t, axis, radii, step):
     g = make_schwarzschild(n, k, m, center=t)
     center_curve = _raw_center_curve(g, ctx, radii, 8, axis)
     curv_curve = _curv_curve(g, ctx, radii, 8, axis)
-    # (m_k)^k C^axis = c * (raw center limit); extrapolate the pointwise
+    # m_k C^axis = c * (raw center limit); extrapolate the pointwise
     # ratio so shared ladder terms cancel
     rows = [(r, v / (c_cal * cr))
             for (r, v), (_, cr) in zip(curv_curve, center_curve)]
@@ -254,7 +254,7 @@ def _ratio(n, k, m, t, axis, radii, step):
 
 def test_criterion_08_curvature_center_ratio():
     """The ratio of the Lovelock flux against the conformal Killing fields
-    to (m_k)^k C^alpha is one constant b_{n,k} across >= 3 translations
+    to m_k C^alpha is one constant b_{n,k} across >= 3 translations
     and 2 masses, spread < 1e-2, for (n,k) in {(3,1), (5,2)}."""
     cases = {
         (3, 1): {

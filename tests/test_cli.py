@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import asymflat
 from asymflat.cli import DEFAULTS, ConfigError, _validate, main, parse_radii
 
 
@@ -97,6 +100,9 @@ def test_invalid_flag_value_exits_1(capsys):
     ("verify", {"seed": 0.5}, "seed"),
     ("rtcheck", {"ell": 1.5}, "ell"),
     ("invariance", {"rotation_seed": 2.5}, "rotation_seed"),
+    ("mass", {"step": 0.0}, "step"),
+    ("mass", {"step": -1.0}, "step"),
+    ("mass", {"step": "nan"}, "step"),
 ])
 def test_invalid_config_value_exits_1(capsys, tmp_path, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -104,6 +110,28 @@ def test_invalid_config_value_exits_1(capsys, tmp_path, command, cfg, key):
     code, _, err = run([command, "--config", str(path)], capsys)
     assert code == 1
     assert err.startswith("error: ") and key in err
+
+
+def test_runtime_loads_no_scipy():
+    # the CLI, a GBC context, a quadrature rule and a profiled extrapolation
+    # need only numpy and the standard library
+    script = "\n".join([
+        "import sys",
+        "import asymflat.cli",
+        "from asymflat.gbc import GBCContext",
+        "from asymflat.invariants import extrapolate, sphere_rule",
+        "GBCContext(5, 2)",
+        "sphere_rule(5, 20.0, 4)",
+        "extrapolate([(10.0 * 2**j, 1.0 + 2.0 / (10.0 * 2**j)) for j in range(6)])",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = os.path.dirname(os.path.dirname(asymflat.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_integral_floats_and_null_rotation_seed_are_accepted():

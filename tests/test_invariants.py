@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+from scipy.special import roots_jacobi
 
+from asymflat import invariants
 from asymflat.fields import EuclideanMetric, make_rt_perturbation, make_schwarzschild
 from asymflat.gbc import GBCContext
 from asymflat.invariants import (
@@ -14,6 +17,7 @@ from asymflat.invariants import (
     extrapolate,
     gbc_center,
     gbc_mass,
+    gbc_mass_center,
     integrate_sphere,
     mass_integrand,
     mass_integrand_alt,
@@ -58,6 +62,21 @@ def test_sphere_rule_validation():
         sphere_rule(2, 1.0, 8)
     with pytest.raises(ValueError):
         sphere_rule(3, 1.0, 1)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+def test_jacobi_rule_matches_scipy_and_is_exact(a):
+    # Golub-Welsch rule against scipy's, and against the exact moments
+    # int u^{2j} (1 - u^2)^a du = Gamma(j + 1/2) Gamma(a + 1) / Gamma(j + a + 3/2)
+    for N in range(2, 40):
+        u, w = invariants._jacobi_rule(N, a)
+        u_ref, w_ref = roots_jacobi(N, a, a)
+        assert np.abs(u - u_ref).max() <= 1e-15
+        assert (np.abs(w - w_ref) / w_ref).max() <= 1e-11
+        for j in range(N):
+            exact = math.gamma(j + 0.5) * math.gamma(a + 1) / math.gamma(j + a + 1.5)
+            assert abs(math.fsum(w * u ** (2 * j)) - exact) <= 1e-12 * exact
+    assert not u.flags.writeable and not w.flags.writeable
 
 
 def test_integrate_sphere_deterministic():
@@ -106,6 +125,50 @@ def test_extrapolate_validation():
         extrapolate([(1.0, 0.0), (2.0, 1.0)])
     with pytest.raises(ValueError):
         extrapolate([(2.0, 0.0), (1.0, 1.0), (3.0, 2.0)])
+    samples = [(10.0, 1.1), (20.0, 1.05), (40.0, 1.025)]
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step"):
+            extrapolate(samples, step=bad)
+        with pytest.raises(ValueError, match="step"):
+            extrapolate(samples, s=bad)
+
+
+def _scipy_bounded(func, lo, hi, xatol):
+    return minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                           options={"xatol": xatol}).x
+
+
+@pytest.mark.parametrize("func, lo, hi", [
+    pytest.param(lambda x: (x - 2.0) ** 2, 0.05, 20.0, id="quadratic"),
+    pytest.param(lambda x: math.cos(x), 0.0, 6.0, id="cos"),
+    pytest.param(lambda x: x * math.exp(-x), -1.0, 5.0, id="min-at-bound"),
+    pytest.param(lambda x: (x - 1.0) ** 4 - x, -3.0, 3.0, id="quartic"),
+    pytest.param(lambda x: abs(x - 1.3), 0.05, 20.0, id="abs-kink"),
+    pytest.param(lambda x: max(x - 2.0, 0.5 * (2.0 - x)), 0.0, 10.0, id="max-kink"),
+    pytest.param(lambda x: abs(math.sin(3.0 * x)) + 0.1 * x, 0.2, 2.0,
+                 id="sin-kinks"),
+    pytest.param(lambda x: x, 0.05, 20.0, id="linear"),
+    pytest.param(lambda x: 1.0, 0.0, 1.0, id="constant"),
+])
+def test_minimize_bounded_bit_equal_to_scipy(func, lo, hi):
+    for xatol in (1e-10, 1e-5):
+        assert (invariants._minimize_bounded(func, lo, hi, xatol)
+                == _scipy_bounded(func, lo, hi, xatol))
+
+
+def test_profiled_extrapolate_bit_equal_with_scipy_minimizer(monkeypatch):
+    rng = np.random.default_rng(3)
+    ladders = []
+    for _ in range(20):
+        rs = 10.0 * 2.0 ** np.arange(rng.integers(4, 9))
+        s = rng.uniform(0.3, 3.0)
+        c = rng.normal(size=4)
+        vals = c[0] + c[1] * rs ** -s + c[2] * rs ** (-2 * s) \
+            + 1e-9 * c[3] * np.sin(rs)
+        ladders.append(list(zip(rs.tolist(), vals.tolist())))
+    ours = [extrapolate(samples) for samples in ladders]
+    monkeypatch.setattr(invariants, "_minimize_bounded", _scipy_bounded)
+    assert [extrapolate(samples) for samples in ladders] == ours
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +239,18 @@ def test_center_recovers_translation():
     assert np.abs(C - c).max() < 1e-6
 
 
+def test_center_divides_by_mk_at_k2():
+    # at k >= 2 the raw center limit is m_k t, so dividing by (m_k)^k
+    # would report t / m_k^(k-1) = t / 1.21 here
+    t = np.array([0.4, 0.0, 0.2, 0.0, 0.0])
+    g = make_schwarzschild(5, 2, 1.1, center=t)
+    mass, res = gbc_mass_center(g, GBCContext(5, 2), [20.0 * 2**j for j in range(9)],
+                                level=4, step=0.5)
+    assert abs(mass.limit - 1.21) < 1e-3
+    C = np.array([r.limit for r in res])
+    assert np.abs(C - t).max() < 5e-3
+
+
 def test_center_zero_for_centered_field():
     g = make_schwarzschild(3, 1, 1.0)
     ctx = GBCContext(3, 1)
@@ -191,7 +266,7 @@ def test_center_rejects_zero_mass():
 
 
 def test_curvature_center_ratio_constant():
-    # the Lovelock-flux center equals b * m^k * C componentwise
+    # the Lovelock-flux center equals b * m_k * C componentwise
     c = np.array([0.6, 0.0, -0.4])
     g = make_schwarzschild(3, 1, 1.0, center=c)
     ctx = GBCContext(3, 1)
@@ -200,7 +275,7 @@ def test_curvature_center_ratio_constant():
     cc = curvature_center(g, ctx, RADII, step=1.0)
     b = calibration_constants(3, 1)["b"]
     for axis in (0, 2):
-        expected = b * mass.limit**ctx.k * cen[axis].limit
+        expected = b * mass.limit * cen[axis].limit
         assert np.isclose(cc[axis].limit, expected, rtol=1e-4)
 
 
