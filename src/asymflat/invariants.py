@@ -464,17 +464,34 @@ class InvariantResult:
 
 def _adaptive_integral(n: int, r: float, level: int, f,
                        rtol: float = 1e-8, max_refinements: int = 3):
-    """Sphere integral refined (1.5x nodes per angle) until stable or capped.
+    """Sphere integral at `level`, checked one level down, refined if unsettled.
 
-    A vector integrand refines until every component is stable.
+    Q_level is returned when it agrees with Q_{level-1} to
+    `rtol * max(|Q|, 1)` in every component: the gap measures the coarser
+    rule's error, which for a spectrally convergent rule bounds that of
+    Q_level (Davis & Rabinowitz, Methods of Numerical Integration, ch. 5).
+    Otherwise, and at level 2, where no coarser rule exists, the level grows
+    by max(2, level // 2) (about 1.5x nodes per angle) until two successive
+    values agree, and the last is returned.  A value still unsettled after
+    `max_refinements` steps is returned with a RuntimeWarning.
     """
+    def settled(new, old):
+        return np.all(np.abs(new - old) <= rtol * np.maximum(np.abs(new), 1.0))
+
     val = integrate_sphere(sphere_rule(n, r, level), f)
+    last = np.nan  # level 2 has no coarser rule to check against
+    if level > 2:
+        last = integrate_sphere(sphere_rule(n, r, level - 1), f)
+        if settled(val, last):
+            return val
     for _ in range(max_refinements):
         level += max(2, level // 2)
-        new = integrate_sphere(sphere_rule(n, r, level), f)
-        if np.all(np.abs(new - val) <= rtol * np.maximum(np.abs(new), 1.0)):
-            return new
-        val = new
+        last, val = val, integrate_sphere(sphere_rule(n, r, level), f)
+        if settled(val, last):
+            return val
+    warnings.warn(f"sphere integral at n={n}, r={r:g} did not settle by level "
+                  f"{level}: largest component difference "
+                  f"{np.max(np.abs(val - last)):.3g}", RuntimeWarning, stacklevel=2)
     return val
 
 

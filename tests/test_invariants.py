@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,14 +7,18 @@ from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
 
 from asymflat import invariants
+from asymflat.chartchange import make_diffeo, pullback_metric, zeta_harmonic
 from asymflat.fields import EuclideanMetric, make_rt_perturbation, make_schwarzschild
 from asymflat.gbc import GBCContext
 from asymflat.invariants import (
+    _adaptive_integral,
+    _flux_integrands,
     adm_mass_coordinate,
     calibration_constants,
     center_integrand,
     center_integrand_alt,
     curvature_center,
+    curvature_center_integrand,
     extrapolate,
     gbc_center,
     gbc_mass,
@@ -83,6 +88,106 @@ def test_integrate_sphere_deterministic():
     rule = sphere_rule(4, 3.0, 10)
     f = lambda x, nu: np.sin(x[:, 0]) + x[:, 1] ** 2
     assert integrate_sphere(rule, f) == integrate_sphere(rule, f)
+
+
+# ---------------------------------------------------------------------------
+# refinement: each radius is checked one level down, escalated if unsettled
+# ---------------------------------------------------------------------------
+
+RTOL = 1e-8  # _adaptive_integral's default per-component test
+
+
+def upward_integral(n, r, level, f, rtol=RTOL, max_refinements=3):
+    """The upward refinement alone: level L, then L + max(2, L // 2), ...
+    until two successive values agree; the reference for escalation."""
+    val = integrate_sphere(sphere_rule(n, r, level), f)
+    for _ in range(max_refinements):
+        level += max(2, level // 2)
+        new = integrate_sphere(sphere_rule(n, r, level), f)
+        if np.all(np.abs(new - val) <= rtol * np.maximum(np.abs(new), 1.0)):
+            return new
+        val = new
+    return val
+
+
+def spy_passes(monkeypatch):
+    """Record (rule level, integrand) for every quadrature pass."""
+    passes = []
+
+    def spy(rule, f, *args, **kwargs):
+        level = round((rule.points.shape[0] / 2) ** (1 / (rule.n - 1)))
+        passes.append((level, f))
+        return integrate_sphere(rule, f, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "integrate_sphere", spy)
+    return passes
+
+
+def test_settled_radius_evaluates_its_level_and_the_one_below(monkeypatch):
+    ctx = GBCContext(5, 2)
+    g = make_schwarzschild(5, 2, 1.3, center=np.array([0.4, 0.0, -0.2, 0.1, 0.0]))
+    for r in (20.0, 80.0, 320.0):
+        nodes = []
+
+        def counting(x, nu):
+            nodes.append(x.shape[0])
+            return _flux_integrands(g, x, nu, ctx, center=False)
+
+        passes = spy_passes(monkeypatch)
+        val = _adaptive_integral(5, r, 4, counting)
+        monkeypatch.undo()
+        assert passes == [(4, counting), (3, counting)]
+        assert nodes == [4**3 * 8, 3**3 * 6]
+        assert np.array_equal(val, integrate_sphere(sphere_rule(5, r, 4), counting))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_unresolved_radius_escalates_to_the_upward_value(n, monkeypatch):
+    f = lambda x, nu: x[:, 0] ** 12
+    passes = spy_passes(monkeypatch)
+    val = _adaptive_integral(n, 1.0, 4, f)
+    monkeypatch.undo()
+    assert [level for level, _ in passes[:3]] == [4, 3, 6]
+    assert val != integrate_sphere(sphere_rule(n, 1.0, 4), f)
+    assert val == upward_integral(n, 1.0, 4, f)
+
+
+@pytest.mark.parametrize("level, path", [(2, [2, 4]), (3, [3, 2])])
+def test_coarsest_check_rule_is_level_two(level, path, monkeypatch):
+    # x0^2 is exact at every level, so each radius settles on its first check
+    f = lambda x, nu: np.stack([np.ones(x.shape[0]), x[:, 0] ** 2], -1)
+    passes = spy_passes(monkeypatch)
+    val = _adaptive_integral(3, 2.0, level, f)
+    monkeypatch.undo()
+    assert [lv for lv, _ in passes] == path
+    expected = upward_integral(3, 2.0, 2, f) if level == 2 else \
+        integrate_sphere(sphere_rule(3, 2.0, level), f)
+    assert np.array_equal(val, expected)
+
+
+def test_unsettled_integral_warns_and_returns_the_last_value():
+    f = lambda x, nu: np.abs(x[:, 0])  # a kink: Gauss rules converge slowly
+    with pytest.warns(RuntimeWarning, match=r"n=3, r=1 .* level 13: largest component"):
+        val = _adaptive_integral(3, 1.0, 4, f)
+    assert val == integrate_sphere(sphere_rule(3, 1.0, 13), f)
+
+
+def test_pullback_and_curvature_center_curves_stay_within_the_refinement_test():
+    n = 4
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))[0]
+    phi = make_diffeo(Q=Q, w=np.array([0.4, -0.3, 0.2, 0.1]),
+                      zeta=zeta_harmonic(n, 0.25, 1.6), tau_prime=1.6, n=n)
+    gp = pullback_metric(phi, make_schwarzschild(n, 1, 1.2, center=np.array([0.3, 0, 0, -0.2])))
+    g3 = make_schwarzschild(3, 1, 0.9, center=np.array([0.6, -0.4, 0.5]))
+    cases = [(n, 6, partial(_flux_integrands, gp, ctx=GBCContext(n, 1), center=False)),
+             (3, 5, partial(curvature_center_integrand, g3, ctx=GBCContext(3, 1)))]
+    for dim, level, f in cases:
+        # the value the upward refinement confirmed a settled Q_L with
+        finer = level + max(2, level // 2)
+        for r in RADII:
+            got = _adaptive_integral(dim, r, level, f)
+            ref = integrate_sphere(sphere_rule(dim, r, finer), f)
+            assert np.all(np.abs(got - ref) <= RTOL * np.maximum(np.abs(ref), 1.0))
 
 
 # ---------------------------------------------------------------------------
