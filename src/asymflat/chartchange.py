@@ -5,7 +5,10 @@ A is a Euclidean isometry (orthogonal matrix plus translation) and
 S(x) = x + zeta(x) with a decaying vector field zeta.  The pullback metric
 carries derivatives to order three computed by exact chain rule from the
 polynomial derivatives of zeta; no finite differencing enters, because the
-invariance differences being measured are small.  `PullbackMetric.jet`
+invariance differences being measured are small.  `Diffeo.zeta_jet`
+derives zeta one order at a time, the first time that order is asked for,
+so a pullback read to order k builds zeta only to order k + 1 (a k = 1
+mass never builds order 3 or above).  `PullbackMetric.jet`
 builds every asked order in one pass: Phi is differentiated once, the base
 metric is read through one `jet` call at Phi(x), and one Faa di Bruno and
 Leibniz expansion yields all orders; `eval`/`d1`/`d2`/`d3` are its levels.
@@ -81,14 +84,23 @@ class Diffeo:
     zeta: TensorRadialPoly | None
     tau_prime: float
     r_valid: float
-    _jets: list = field(default_factory=list, repr=False)
+    _jets: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._jets = [] if self.zeta is None else [self.zeta]
 
     def zeta_jet(self, x: np.ndarray, order: int) -> np.ndarray:
-        """order-th partial-derivative array of zeta (derivative axes lead)."""
+        """order-th partial-derivative array of zeta (derivative axes lead).
+
+        Each order is derived from the one below the first time it is asked
+        for, so a pullback read to order k never builds zeta past k + 1.
+        """
         x = np.asarray(x, dtype=float)
         if self.zeta is None:
             shape = x.shape[:-1] + (self.n,) * (order + 1)
             return np.zeros(shape)
+        while len(self._jets) <= order:
+            self._jets.append(self._jets[-1].deriv())
         return self._jets[order](x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -131,13 +143,7 @@ def make_diffeo(Q: np.ndarray | None = None, w: np.ndarray | None = None,
                          f"got shape {w.shape}")
     if Q.shape != (n, n) or not np.allclose(Q.T @ Q, np.eye(n), atol=1e-12):
         raise ValueError("A must have an orthogonal matrix part")
-    jets = []
-    if zeta is not None:
-        jet = zeta
-        for _ in range(5):
-            jets.append(jet)
-            jet = jet.deriv()
-    phi = Diffeo(n, Q, w, zeta, float(tau_prime), float("nan"), jets)
+    phi = Diffeo(n, Q, w, zeta, float(tau_prime), float("nan"))
     if zeta is None:
         phi.r_valid = 0.0
         return phi

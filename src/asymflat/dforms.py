@@ -239,11 +239,15 @@ def contract(a: DoubleForm, G: PointMetric | None = None) -> DoubleForm:
     """Metric trace pairing one left with one right slot (adjoint of g-wedge)."""
     if a.p < 1 or a.q < 1:
         raise DegreeError("contraction needs p >= 1 and q >= 1")
-    Ginv = np.eye(a.n) if G is None else np.linalg.inv(G.G)
     TL = interior_tensor(a.n, a.p)
     TR = interior_tensor(a.n, a.q)
-    comps = np.einsum("...kl,kaA,lbB,...AB->...ab", Ginv, TL, TR, a.comps,
-                      optimize=True)
+    # iota_k on the left block, as one matmul: (..., k, a, B)
+    comps = (TL.reshape(-1, TL.shape[-1]) @ a.comps).reshape(
+        a.comps.shape[:-2] + TL.shape[:2] + a.comps.shape[-1:])
+    if G is not None:  # pair k with l through G^-1
+        comps = np.einsum("...kl,...kaB->...laB", np.linalg.inv(G.G), comps)
+    # iota_l on the right block, summed over l
+    comps = (comps @ np.swapaxes(TR, -1, -2)).sum(axis=-3)
     return DoubleForm(a.n, a.p - 1, a.q - 1, comps)
 
 

@@ -113,7 +113,9 @@ class TensorRadialPoly:
 
     Evaluation is compiled once into a (entries x monomials) coefficient
     matrix so a whole derivative tensor costs one monomial table plus one
-    matmul per batch of points.
+    matmul per batch of points.  The monomials come from one table of powers
+    x_i ** a per coordinate, gathered per monomial and multiplied over i, and
+    then by each distinct r ** beta gathered the same way.
     """
 
     def __init__(self, n: int, arr: np.ndarray):
@@ -136,7 +138,6 @@ class TensorRadialPoly:
     def _compile(self):
         keys: dict[tuple, int] = {}
         flat = self.arr.reshape(-1)
-        rows = []
         for poly in flat:
             for key in poly.terms:
                 if key not in keys:
@@ -150,26 +151,31 @@ class TensorRadialPoly:
         for (alpha, beta), m in keys.items():
             alphas[m] = alpha
             betas[m] = beta
-        self._compiled = (coeff, alphas, betas, len(keys))
+        rbetas, rslot = np.unique(betas, return_inverse=True)
+        self._compiled = (coeff, alphas, rbetas, rslot, len(keys))
         return self._compiled
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        coeff, alphas, betas, nkeys = self._compiled or self._compile()
+        coeff, alphas, rbetas, rslot, nkeys = self._compiled or self._compile()
         batch = x.shape[:-1]
         if nkeys == 0:
             return np.zeros(batch + self.arr.shape)
+        ones = np.ones(batch)
+        mono = None
+        for i in range(self.n):
+            # powers[a] = x_i ** a, with the numpy-integer exponents that
+            # `alphas` stores, so each factor is the pow call a monomial-by-
+            # monomial evaluation makes and the results stay bit-identical
+            powers = [ones] + [x[..., i] ** a
+                               for a in np.arange(1, alphas[:, i].max() + 1)]
+            # `take` keeps the monomial table C-ordered, which the matmul
+            # below needs to sum in the same order as a built-up table
+            factor = np.take(np.stack(powers, axis=-1), alphas[:, i], axis=-1)
+            mono = factor if mono is None else mono * factor
         r = np.linalg.norm(x, axis=-1)
-        mono = np.empty(batch + (coeff.shape[1],))
-        for m in range(coeff.shape[1]):
-            term = np.ones(batch)
-            for i in range(self.n):
-                a = alphas[m, i]
-                if a:
-                    term = term * x[..., i] ** a
-            if betas[m] != 0.0:
-                term = term * r ** betas[m]
-            mono[..., m] = term
+        radial = np.stack([ones if b == 0.0 else r ** b for b in rbetas], axis=-1)
+        mono = mono * np.take(radial, rslot, axis=-1)
         vals = mono @ coeff.T
         return vals.reshape(batch + self.arr.shape)
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import ortho_group
 
 from asymflat.chartchange import (
+    Diffeo,
     invariance_report,
     lie_deviation,
     make_diffeo,
@@ -12,6 +13,7 @@ from asymflat.chartchange import (
 )
 from asymflat.fields import EuclideanMetric, make_schwarzschild
 from asymflat.gbc import GBCContext
+from asymflat.invariants import gbc_mass
 
 from conftest import CountingMetric
 
@@ -209,3 +211,40 @@ def test_make_diffeo_rejects_wrong_length_translation():
     for w in ([5.0], [1.0, 1.0], [[1.0, 0.0, 0.0]]):
         with pytest.raises(ValueError, match="translation"):
             make_diffeo(w=np.asarray(w), n=3)
+
+
+def test_diffeo_constructor_seeds_the_zeta_jets():
+    n = 3
+    zeta = zeta_harmonic(n, 0.2, 1.6)
+    phi = Diffeo(n, np.eye(n), np.zeros(n), zeta, 1.6, 10.0)
+    x = np.array([[30.0, -10.0, 20.0], [5.0, 25.0, -20.0]])
+    assert np.array_equal(phi.zeta_jet(x, 0), zeta(x))
+    assert np.array_equal(phi.zeta_jet(x, 2), zeta.deriv().deriv()(x))
+    assert np.array_equal(phi.apply(x), x + zeta(x))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_zeta_jets_equal_the_eager_derivative_chain(n):
+    rng = np.random.default_rng(31 + n)
+    x = rng.standard_normal((6, n)) * 30.0
+    for zeta in (zeta_harmonic(n, 0.2, 1.6), zeta_radial(n, 0.1, 1.6)):
+        phi = make_diffeo(zeta=zeta, tau_prime=1.6, n=n)
+        # ask out of order: a later, lower order reuses what is built
+        orders = (4, 0, 2, 1, 3)
+        lazy = {m: phi.zeta_jet(x, m) for m in orders}
+        eager = zeta
+        for m in range(5):
+            assert np.array_equal(lazy[m], eager(x)), m
+            eager = eager.deriv()
+
+
+def test_k1_mass_on_a_pullback_derives_zeta_only_to_order_two():
+    # construction depth; the evaluation depth is checked by
+    # test_pullback_differentiates_phi_and_base_only_as_deep_as_asked
+    n = 4
+    phi = make_diffeo(Q=rotation(n, 5), w=np.array([0.3, 0.0, -0.2, 0.1]),
+                      zeta=zeta_harmonic(n, 0.2, 1.6), tau_prime=1.6, n=n)
+    assert len(phi._jets) == 2   # zeta and the contraction check's d zeta
+    gp = pullback_metric(phi, make_schwarzschild(n, 1, 1.0))
+    gbc_mass(gp, GBCContext(n, 1), RADII[:3], level=3, step=0.5)
+    assert len(phi._jets) == 3

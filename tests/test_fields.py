@@ -171,3 +171,57 @@ def test_fd_wrap_rejects_bad_args():
         fd_wrap(lambda x: np.eye(3), 3, order=3)
     with pytest.raises(ValueError):
         fd_wrap(lambda x: np.eye(3), 3, h0=0.0)
+
+
+def _per_monomial_eval(T, x):
+    """The monomial-by-monomial evaluation the power table replaced, kept as
+    the reference it must match bit for bit."""
+    coeff, alphas, rbetas, rslot, nkeys = T._compiled or T._compile()
+    betas = rbetas[rslot]
+    x = np.asarray(x, dtype=float)
+    batch = x.shape[:-1]
+    if nkeys == 0:
+        return np.zeros(batch + T.shape)
+    r = np.linalg.norm(x, axis=-1)
+    mono = np.empty(batch + (coeff.shape[1],))
+    for m in range(coeff.shape[1]):
+        term = np.ones(batch)
+        for i in range(T.n):
+            a = alphas[m, i]
+            if a:
+                term = term * x[..., i] ** a
+        if betas[m] != 0.0:
+            term = term * r ** betas[m]
+        mono[..., m] = term
+    return (mono @ coeff.T).reshape(batch + T.shape)
+
+
+def _table_cases():
+    from asymflat.chartchange import zeta_harmonic, zeta_radial
+    from asymflat.curvature import PolynomialDoubleFormField
+
+    for n in (3, 4, 5):
+        for zeta in (zeta_harmonic(n, 0.2, 1.6), zeta_radial(n, 0.3, 0.7)):
+            for order in range(4):
+                yield f"zeta n={n} order={order}", zeta
+                zeta = zeta.deriv()
+    for parity in ("even", "odd", "mixed"):
+        yield f"rt e {parity}", make_rt_perturbation(4, 1.5, seed=3, parity=parity)._e
+    yield "polynomial form", PolynomialDoubleFormField.random(4, 2, 1, seed=5).trp
+    arr = np.empty((2, 3), dtype=object)
+    arr[:] = [[RadialPoly.zero(3)] * 3] * 2
+    yield "no terms", TensorRadialPoly(3, arr)
+    arr = np.empty((2,), dtype=object)
+    arr[:] = [RadialPoly.monomial(3, (0, 0, 0), 0.0, 1.5),
+              RadialPoly.monomial(3, (0, 0, 0), 0.0, -0.25)]
+    yield "constant monomials", TensorRadialPoly(3, arr)
+
+
+def test_table_evaluation_is_bit_identical_to_per_monomial_loop():
+    rng = np.random.default_rng(17)
+    for name, T in _table_cases():
+        for batch in ((), (1,), (7,), (3, 5)):
+            x = rng.standard_normal(batch + (T.n,)) * 20.0
+            got = T(x)
+            assert got.shape == batch + T.shape, (name, batch)
+            assert np.array_equal(got, _per_monomial_eval(T, x)), (name, batch)
