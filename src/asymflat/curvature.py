@@ -5,7 +5,7 @@ a list [F, nabla F, nabla nabla F] whose m-th entry carries m leading
 covariant-derivative axes in front of the compressed component axes.
 `jet_from_partials` builds it from plain partials and Christoffel symbols.
 The exterior derivatives insert the last derivative index into a block by
-one signed contraction against the interior-product table; the Hodge star
+one signed gather through the shuffle table; the Hodge star
 commutes with the Levi-Civita derivative and the Bianchi maps have constant
 coefficients, so both act level by level.  `ext_deriv` and `codiff` are
 these operators on a field's first-order jet.
@@ -229,10 +229,8 @@ class PolynomialDoubleFormField(DoubleFormField):
                     monos.append(tuple(alpha))
         for a in range(Cp):
             for b in range(Cq):
-                poly = RadialPoly.zero(n)
-                for alpha in monos:
-                    poly = poly + RadialPoly.monomial(n, alpha, 0.0, rng.standard_normal())
-                arr[a, b] = poly
+                arr[a, b] = RadialPoly(n, {(alpha, 0.0): rng.standard_normal()
+                                           for alpha in monos})
         return cls(n, p, q, TensorRadialPoly(n, arr))
 
 

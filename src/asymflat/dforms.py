@@ -5,8 +5,13 @@ of strictly increasing multi-indices, with component array shape
 ``batch + (C(n,p), C(n,q))``; all operations broadcast over leading batch
 axes.  Products use the determinant convention (shuffle sums, no factorial
 division), which is pinned by the identity ``star(g^k) = k!/(n-k)! g^(n-k)``.
-The wedge and the flat Hodge star read the signed splits of
-`multiindex.shuffle_table`; no dense product or star matrix is formed.
+The wedge, the flat Hodge star, the Bianchi maps and the dx-insertions
+behind D and D~ read the signed splits of `multiindex.shuffle_table` as
+gathers (the Bianchi contraction as a scatter); no dense product, star or
+interior-product matrix is formed on those paths.  The wedge gathers from
+copies of its operands with the batch axes last, so each gathered entry is
+one contiguous row over the batch.  The dense `interior_tensor` is read only
+by `contract`, `interior` and `multiindex.derivation_tensor`.
 
 Metric-dependent operations take a :class:`PointMetric` G and use no frame:
 they raise the left block with the compound matrix of G^-1, apply the
@@ -187,10 +192,19 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
         )
     lL, rL, sL = shuffle_table(n, a.p, b.p)
     lR, rR, sR = shuffle_table(n, a.q, b.q)
-    prod = (a.comps[..., lL[:, :, None, None], lR[None, None]]
-            * b.comps[..., rL[:, :, None, None], rR[None, None]])
-    comps = np.einsum("...KsJt,Ks,Jt->...KJ", prod, sL, sR)
-    return DoubleForm(n, p, q, comps)
+    nb = max(a.comps.ndim, b.comps.ndim) - 2
+    prod = (_batch_last(a.comps, nb)[lL[:, :, None, None], lR[None, None]]
+            * _batch_last(b.comps, nb)[rL[:, :, None, None], rR[None, None]])
+    comps = np.einsum("KsJt...,Ks,Jt->KJ...", prod, sL, sR)
+    # the batch axes back in front of the component axes
+    return DoubleForm(n, p, q, comps.transpose(tuple(range(2, nb + 2)) + (0, 1)))
+
+
+def _batch_last(comps: np.ndarray, nb: int) -> np.ndarray:
+    """Contiguous copy with the component axes first and the batch axes,
+    padded on the left to nb, last: each gathered entry is one batch row."""
+    c = comps.reshape((1,) * (nb + 2 - comps.ndim) + comps.shape)
+    return np.ascontiguousarray(c.transpose((nb, nb + 1) + tuple(range(nb))))
 
 
 def wedge_power(a: DoubleForm, k: int) -> DoubleForm:
@@ -286,40 +300,59 @@ def interior(X: np.ndarray, a: DoubleForm, side: str = "left") -> DoubleForm:
 def _insert_left(n: int, p: int, stacked: np.ndarray) -> np.ndarray:
     """-sum_k dx^k owedge stacked[k] for stacked of shape (..., n, C(n,p), Cq).
 
-    One signed contraction against the interior-product table of degree p + 1.
+    Row I of degree p + 1 gathers stacked[k, I minus k] for each k in I, one
+    split of the shuffle table each, and adds the signed splits in ascending k.
     """
     if p + 1 > n:
         raise DegreeError(f"degree overflow: left degree {p}+1 exceeds n={n}")
-    return -np.einsum("kAI,...kAJ->...IJ", interior_tensor(n, p + 1), stacked)
+    k, rest, sign = shuffle_table(n, 1, p)
+    sign = -sign[:, :, None]
+    gathered = stacked[..., k, rest, :]  # (..., C(n,p+1), p+1, Cq)
+    out = sign[:, 0] * gathered[..., 0, :]
+    for j in range(1, p + 1):
+        out = out + sign[:, j] * gathered[..., j, :]
+    return out
 
 
 def _insert_right(n: int, q: int, stacked: np.ndarray) -> np.ndarray:
     """-sum_k stacked[k] owedge dx~^k for stacked of shape (..., n, Cp, C(n,q)).
 
-    dx~^k sits behind the q right slots, hence the (-1)^q against the table.
+    The mirror gather of `_insert_left`; dx~^k sits behind the q right slots,
+    hence the (-1)^q on the split signs.
     """
     if q + 1 > n:
         raise DegreeError(f"degree overflow: right degree {q}+1 exceeds n={n}")
-    sign = -float((-1) ** q)
-    return sign * np.einsum("kBJ,...kIB->...IJ", interior_tensor(n, q + 1), stacked)
+    k, rest, sign = shuffle_table(n, 1, q)
+    sign = -float((-1) ** q) * sign
+    gathered = np.swapaxes(stacked, -3, -2)[..., k, rest]  # (..., Cp, C(n,q+1), q+1)
+    out = sign[:, 0] * gathered[..., 0]
+    for j in range(1, q + 1):
+        out = out + sign[:, j] * gathered[..., j]
+    return out
 
 
 def bianchi(a: DoubleForm, side: str = "left") -> DoubleForm:
     """Bianchi alternation map; zero on (p,0) (left) and (0,q) (right) by convention.
 
     Left: -sum_k dx^k owedge (iota_{e_k} on the right block); right: the mirror
-    image.  Each is one interior contraction and one signed insertion.
+    image.  Each entry of the interior product has at most one term, so it is
+    a signed scatter through the shuffle table, followed by the insertion.
     """
     n = a.n
     if side == "left":
         if a.q == 0:
             return zero_form(n, a.p, 0, a.batch_shape)
-        contracted = np.einsum("kbB,...AB->...kAb", interior_tensor(n, a.q), a.comps)
+        k, rest, sign = shuffle_table(n, 1, a.q - 1)
+        contracted = np.zeros(a.comps.shape[:-1] + (n, comb(n, a.q - 1)))
+        contracted[..., k, rest] = sign * a.comps[..., None]  # (..., A, k, b)
+        contracted = np.swapaxes(contracted, -2, -3)
         return DoubleForm(n, a.p + 1, a.q - 1, _insert_left(n, a.p, contracted))
     if side == "right":
         if a.p == 0:
             return zero_form(n, 0, a.q, a.batch_shape)
-        contracted = np.einsum("kaA,...AB->...kaB", interior_tensor(n, a.p), a.comps)
+        k, rest, sign = shuffle_table(n, 1, a.p - 1)
+        contracted = np.zeros(a.batch_shape + (n, comb(n, a.p - 1), comb(n, a.q)))
+        contracted[..., k, rest, :] = sign[:, :, None] * a.comps[..., None, :]
         return DoubleForm(n, a.p - 1, a.q + 1, _insert_right(n, a.q, contracted))
     raise ValueError("side must be 'left' or 'right'")
 

@@ -53,11 +53,9 @@ class RadialPoly:
 
     def __init__(self, n: int, terms: dict | None = None):
         self.n = n
-        self.terms: dict[tuple[tuple[int, ...], float], float] = {}
-        if terms:
-            for key, c in terms.items():
-                if c != 0.0:
-                    self.terms[key] = self.terms.get(key, 0.0) + c
+        # dict keys are already unique: only the zero coefficients go
+        self.terms: dict[tuple[tuple[int, ...], float], float] = (
+            {key: c for key, c in terms.items() if c != 0.0} if terms else {})
 
     @classmethod
     def monomial(cls, n: int, alpha, beta: float, coeff: float = 1.0) -> "RadialPoly":

@@ -371,3 +371,99 @@ def test_contract_matches_dense_einsum_every_bidegree(n):
                 got = contract(a, metric)
                 assert (got.p, got.q) == (p - 1, q - 1)
                 assert np.abs(got.comps - ref).max() <= 1e-13, (p, q, metric is None)
+
+
+# The interior-product steps as einsums over the dense interior tensor:
+# references for the signed gathers and scatters through the shuffle table.
+
+def einsum_insert_left(n, p, stacked):
+    return -np.einsum("kAI,...kAJ->...IJ", interior_tensor(n, p + 1), stacked)
+
+
+def einsum_insert_right(n, q, stacked):
+    sign = -float((-1) ** q)
+    return sign * np.einsum("kBJ,...kIB->...IJ", interior_tensor(n, q + 1), stacked)
+
+
+def einsum_bianchi(a, side):
+    n = a.n
+    if side == "left":
+        contracted = np.einsum("kbB,...AB->...kAb", interior_tensor(n, a.q), a.comps)
+        return einsum_insert_left(n, a.p, contracted)
+    contracted = np.einsum("kaA,...AB->...kaB", interior_tensor(n, a.p), a.comps)
+    return einsum_insert_right(n, a.q, contracted)
+
+
+def top_degree_cases(n):
+    """Where the output block is a single entry (degree n next to degree 0
+    or n), the einsum reduces all n^2 products in one unrolled dot and so
+    adds the terms in another order than the ascending splits."""
+    return {("insert_left", n - 1, 0), ("insert_left", n - 1, n),
+            ("insert_right", 0, n - 1), ("insert_right", n, n - 1),
+            ("bianchi_left", n - 1, 1), ("bianchi_right", 1, n - 1)}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_gathered_insertions_and_bianchi_match_einsum(n):
+    from math import comb
+    from asymflat.dforms import _insert_left, _insert_right
+    rng = np.random.default_rng(90 + n)
+    top = top_degree_cases(n)
+    for p, q in bidegrees(n):
+        stacked = rng.standard_normal((3, n, comb(n, p), comb(n, q)))
+        a = random_form(rng, n, p, q, batch=(3,))
+        cases = []
+        if p + 1 <= n:
+            cases.append(("insert_left", _insert_left(n, p, stacked),
+                          einsum_insert_left(n, p, stacked)))
+        if q + 1 <= n:
+            cases.append(("insert_right", _insert_right(n, q, stacked),
+                          einsum_insert_right(n, q, stacked)))
+        if q >= 1 and p + 1 <= n:
+            cases.append(("bianchi_left", bianchi(a, "left").comps,
+                          einsum_bianchi(a, "left")))
+        if p >= 1 and q + 1 <= n:
+            cases.append(("bianchi_right", bianchi(a, "right").comps,
+                          einsum_bianchi(a, "right")))
+        for name, got, ref in cases:
+            assert got.shape == ref.shape, (name, p, q)
+            if (name, p, q) in top:
+                assert np.abs(got - ref).max() <= 4e-15, (name, p, q)
+            else:
+                assert np.array_equal(got, ref), (name, p, q)
+
+
+def fancy_index_wedge(a, b):
+    """The wedge gathered straight from the operands' own layout."""
+    from asymflat.multiindex import shuffle_table
+    lL, rL, sL = shuffle_table(a.n, a.p, b.p)
+    lR, rR, sR = shuffle_table(a.n, a.q, b.q)
+    prod = (a.comps[..., lL[:, :, None, None], lR[None, None]]
+            * b.comps[..., rL[:, :, None, None], rR[None, None]])
+    return np.einsum("...KsJt,Ks,Jt->...KJ", prod, sL, sR)
+
+
+@pytest.mark.parametrize("n", CURVED_DIMS)
+def test_batch_last_wedge_is_bit_identical_to_fancy_index_wedge(n):
+    rng = np.random.default_rng(100 + n)
+    batches = [((), ()), ((5,), (5,)), ((), (5,)), ((4, 5), (5,))]
+    for p1, q1 in bidegrees(n):
+        for p2, q2 in bidegrees(n):
+            if p1 + p2 > n or q1 + q2 > n:
+                continue
+            for ba, bb in batches:
+                a = random_form(rng, n, p1, q1, batch=ba)
+                b = random_form(rng, n, p2, q2, batch=bb)
+                # the identity suite wedges transposes, whose component
+                # axes are swapped views; a batch axis can sit between them
+                at = transpose(random_form(rng, n, q1, p1, batch=ba))
+                inner_batch = np.moveaxis(
+                    rng.standard_normal(at.comps.shape[-2:-1] + ba + at.comps.shape[-1:]),
+                    0, -2)
+                views = [(a, b), (b, a), (at, b), (b, at),
+                         (DoubleForm(n, p1, q1, inner_batch), b)]
+                for x, y in views:
+                    got = wedge(x, y).comps
+                    ref = fancy_index_wedge(x, y)
+                    assert got.shape == ref.shape, (p1, q1, p2, q2, ba, bb)
+                    assert np.array_equal(got, ref), (p1, q1, p2, q2, ba, bb)

@@ -225,3 +225,54 @@ def test_table_evaluation_is_bit_identical_to_per_monomial_loop():
             got = T(x)
             assert got.shape == batch + T.shape, (name, batch)
             assert np.array_equal(got, _per_monomial_eval(T, x)), (name, batch)
+
+
+def accumulated_terms(terms):
+    """The constructor before it relied on dict keys being unique: every
+    coefficient was added into a fresh dict."""
+    out = {}
+    for key, c in terms.items():
+        if c != 0.0:
+            out[key] = out.get(key, 0.0) + c
+    return out
+
+
+def reference_deriv(terms, i):
+    out = {}
+    for (alpha, beta), c in terms.items():
+        if alpha[i] > 0:
+            a = list(alpha)
+            a[i] -= 1
+            key = (tuple(a), beta)
+            out[key] = out.get(key, 0.0) + c * alpha[i]
+        if beta != 0.0:
+            a = list(alpha)
+            a[i] += 1
+            key = (tuple(a), beta - 2.0)
+            out[key] = out.get(key, 0.0) + c * beta
+    return accumulated_terms(out)
+
+
+def test_radial_poly_terms_equal_the_accumulating_constructor():
+    # zeta orders 0-3 (chartchange), RT perturbations (fields) and a random
+    # polynomial double form (curvature): same keys, order and coefficients
+    for name, T in _table_cases():
+        for poly in T.arr.reshape(-1):
+            assert list(poly.terms.items()) == list(accumulated_terms(poly.terms).items())
+            for i in range(T.n):
+                got = list(poly.deriv(i).terms.items())
+                assert got == list(reference_deriv(poly.terms, i).items()), (name, i)
+
+
+def test_random_polynomial_field_equals_its_monomial_sum():
+    from asymflat.curvature import PolynomialDoubleFormField
+
+    for n, p, q, degree in ((3, 1, 0, 2), (4, 2, 1, 2), (5, 1, 2, 3)):
+        F = PolynomialDoubleFormField.random(n, p, q, seed=5, degree=degree)
+        rng = np.random.default_rng(5)
+        keys = list(F.trp.arr.flat[0].terms)  # the monomials in draw order
+        for poly in F.trp.arr.flat:
+            ref = RadialPoly.zero(n)
+            for alpha, beta in keys:
+                ref = ref + RadialPoly.monomial(n, alpha, beta, rng.standard_normal())
+            assert list(poly.terms.items()) == list(ref.terms.items())

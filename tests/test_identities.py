@@ -3,13 +3,23 @@ import pytest
 from asymflat.identities import hodge_metric_power_identity, identity_suite
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_identity_suite_all_pass(n):
-    checks = identity_suite(n, seed=0, count=50)
+def assert_all_pass(checks):
     failed = [c for c in checks if not c.passed]
     assert not failed, "\n".join(
         f"{c.name} (n={c.n}, p={c.p}, q={c.q}): {c.error:.3e} > {c.tol:.1e}"
         for c in failed)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_identity_suite_all_pass(n):
+    assert_all_pass(identity_suite(n, seed=0, count=50))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_identity_suite_all_pass_up_to_the_largest_dimension(n):
+    # the CLI accepts n up to 8; the largest shuffle tables and gathers of
+    # the Bianchi maps, the dx-insertions and the wedge are built only here
+    assert_all_pass(identity_suite(n, seed=0, count=5))
 
 
 def test_identity_suite_covers_field_identities():
