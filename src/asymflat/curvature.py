@@ -11,12 +11,17 @@ coefficients, so both act level by level.  `ext_deriv` and `codiff` are
 these operators on a field's first-order jet.
 
 Curvature consumers read the metric through one `MetricField.jet` call and
-build Christoffel symbols, Riemann and their derivatives from those arrays
-with the private `_..._from_jets` helpers.
+build Christoffel symbols and their derivatives from those arrays with the
+private `_..._from_jets` helpers.  The curvature is built packed, as the
+(2,2) double form its consumers read, by `_riemann_packed`: from the lowered
+Christoffel symbols, one batched matmul for the quadratic term and one
+gather of the C(n,2)^2 slots; the full n^4 array is kept only as a test
+reference.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -68,14 +73,17 @@ def christoffel(g: MetricField, x: np.ndarray) -> np.ndarray:
     return _christoffel_from_jets(*g.jet(x, 1))
 
 
+def _lowered(d1: np.ndarray) -> np.ndarray:
+    """First-kind symbols Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+    from d1[..., k, i, j] = d_k g_ij, shape (..., l, i, j)."""
+    return 0.5 * (np.einsum("...ijl->...lij", d1)
+                  + np.einsum("...jil->...lij", d1)
+                  - d1)
+
+
 def _christoffel_from_jets(G: np.ndarray, d1: np.ndarray) -> np.ndarray:
     """Christoffel symbols from the metric values G and first partials d1."""
-    Ginv = np.linalg.inv(G)
-    # d1[..., k, i, j] = d_k g_ij
-    lower = 0.5 * (np.einsum("...ijl->...lij", d1)
-                   + np.einsum("...jil->...lij", d1)
-                   - np.einsum("...lij->...lij", d1))
-    return np.einsum("...al,...lij->...aij", Ginv, lower)
+    return np.einsum("...al,...lij->...aij", np.linalg.inv(G), _lowered(d1))
 
 
 def christoffel_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
@@ -87,9 +95,7 @@ def _christoffel_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> 
     """Christoffel partials from the metric values and first two partials."""
     Ginv = np.linalg.inv(G)
     dGinv = -np.einsum("...am,...kmn,...nl->...kal", Ginv, d1, Ginv)
-    lower = 0.5 * (np.einsum("...ijl->...lij", d1)
-                   + np.einsum("...jil->...lij", d1)
-                   - d1)
+    lower = _lowered(d1)
     dlower = 0.5 * (np.einsum("...kijl->...klij", d2)
                     + np.einsum("...kjil->...klij", d2)
                     - d2)
@@ -97,27 +103,41 @@ def _christoffel_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> 
             + np.einsum("...al,...klij->...kaij", Ginv, dlower))
 
 
-_RIEMANN_SIGN = 1.0
+@lru_cache(maxsize=None)
+def _riemann_slots(n: int) -> np.ndarray:
+    """Positions in a flattened n^4 array of the entries (i,l,j,k), (j,k,i,l),
+    (i,k,j,l), (j,l,i,k) for each packed slot I = (i<j), J = (k<l), shape
+    (4, C(n,2), C(n,2))."""
+    i, j = eval_cache(n, 2).T
+    i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
+    slots = np.stack([np.ravel_multi_index(entry, (n,) * 4) for entry in
+                      [(i, l, j, k), (j, k, i, l), (i, k, j, l), (j, l, i, k)]])
+    slots.flags.writeable = False  # every caller shares the cached table
+    return slots
 
 
-def _riemann_array(g: MetricField, x: np.ndarray) -> np.ndarray:
-    """Lowered curvature R[i,j,k,l] matching the double-form convention.
+def _riemann_packed(G: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                    Ginv: np.ndarray | None = None) -> DoubleForm:
+    """Curvature as a (2,2) double form from the metric jets G, d1, d2.
 
-    The overall sign is fixed so that the round sphere has positive values on
-    (e_i, e_j; e_i, e_j), i.e. R = (lambda/2) g owedge g with lambda > 0.
+    R_ijkl = (d_i d_l g_jk + d_j d_k g_il - d_i d_k g_jl - d_j d_l g_ik) / 2
+    + A_il,jk - A_ik,jl with A_il,jk = sum_a Gamma^a_il Gamma_a,jk, read only
+    at i < j, k < l.  The sign is fixed so that the round sphere has positive
+    values on (e_i, e_j; e_i, e_j), i.e. R = (lambda/2) g owedge g with
+    lambda > 0.  `Ginv` is the inverse of G when the caller already has it.
     """
-    return _riemann_from_jets(*g.jet(x, 2))
-
-
-def _riemann_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Lowered curvature array from the metric jets G, d1, d2 (no field calls)."""
-    gam = _christoffel_from_jets(G, d1)
-    # second-derivative part: 1/2 (d_i d_l g_jk + d_j d_k g_il - d_i d_k g_jl - d_j d_l g_ik)
-    dd = 0.5 * (np.einsum("...iljk->...ijkl", d2) + np.einsum("...jkil->...ijkl", d2)
-                - np.einsum("...ikjl->...ijkl", d2) - np.einsum("...jlik->...ijkl", d2))
-    quad = np.einsum("...ab,...ail,...bjk->...ijkl", G, gam, gam, optimize=True) \
-        - np.einsum("...ab,...aik,...bjl->...ijkl", G, gam, gam, optimize=True)
-    return _RIEMANN_SIGN * (dd + quad)
+    n = G.shape[-1]
+    batch = G.shape[:-2]
+    lower = _lowered(d1).reshape(batch + (n, n * n))
+    gam = (np.linalg.inv(G) if Ginv is None else Ginv) @ lower
+    # A[..., (i,l), (j,k)], flattened like d2[..., i, l, j, k]
+    A = (np.swapaxes(gam, -1, -2) @ lower).reshape(batch + (-1,))
+    slots = _riemann_slots(n)
+    dd = np.take(d2.reshape(batch + (-1,)), slots, axis=-1)
+    quad = np.take(A, slots[::2], axis=-1)
+    comps = (0.5 * (dd[..., 0, :, :] + dd[..., 1, :, :] - dd[..., 2, :, :] - dd[..., 3, :, :])
+             + (quad[..., 0, :, :] - quad[..., 1, :, :]))
+    return DoubleForm(n, 2, 2, comps)
 
 
 def pack_22(arr: np.ndarray, n: int) -> DoubleForm:
@@ -129,7 +149,7 @@ def pack_22(arr: np.ndarray, n: int) -> DoubleForm:
 
 def riemann(g: MetricField, x: np.ndarray) -> DoubleForm:
     """Riemann curvature of g at x as a symmetric (2,2) double form."""
-    return pack_22(_riemann_array(g, x), g.n)
+    return _riemann_packed(*g.jet(x, 2))
 
 
 def riemann_partial_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
@@ -150,7 +170,7 @@ def _riemann_partial_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray,
             + np.einsum("...ab,...ail,...mbjk->...mijkl", G, gam, dgam)
             - np.einsum("...ab,...maik,...bjl->...mijkl", G, dgam, gam)
             - np.einsum("...ab,...aik,...mbjl->...mijkl", G, gam, dgam))
-    return _RIEMANN_SIGN * (ddd + quad)
+    return ddd + quad
 
 
 class Connection:
@@ -460,7 +480,7 @@ def riemann_jet(g: MetricField, x: np.ndarray, depth: int = 1) -> Jet:
         raise ValueError("riemann_jet supports depth <= 1")
     n = g.n
     jets = g.jet(x, depth + 2)
-    R = pack_22(_riemann_from_jets(*jets[:3]), n).comps
+    R = _riemann_packed(*jets[:3]).comps
     if depth == 0:
         return Jet(n, 2, 2, [R])
     gam = _christoffel_from_jets(*jets[:2])

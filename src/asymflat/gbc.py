@@ -26,15 +26,14 @@ from .curvature import (
     DoubleFormField,
     _christoffel_d1_from_jets,
     _christoffel_from_jets,
-    _riemann_from_jets,
+    _riemann_packed,
     jet_add,
     jet_d_left,
     jet_d_right,
     jet_from_partials,
-    pack_22,
 )
 from .fields import MetricField
-from .multiindex import compound_matrix
+from .multiindex import _compound_2, compound_matrix
 
 __all__ = [
     "GBCContext",
@@ -78,10 +77,8 @@ def _point_data(g: MetricField, x: np.ndarray):
     """The metric G at x and the curvature R# with its left block raised."""
     G, d1, d2 = g.jet(np.asarray(x, dtype=float), 2)
     Ginv = np.linalg.inv(G)
-    R = _riemann_from_jets(G, d1, d2)
-    R_sharp = np.einsum("...ai,...bj,...ijkl->...abkl", Ginv, Ginv, R,
-                        optimize=True)
-    return G, pack_22(R_sharp, g.n)
+    R = _riemann_packed(G, d1, d2, Ginv)
+    return G, DoubleForm(g.n, 2, 2, _compound_2(Ginv) @ R.comps)
 
 
 def l_k(g: MetricField, x: np.ndarray, ctx: GBCContext) -> np.ndarray:
@@ -147,10 +144,10 @@ def variation_residual(g: MetricField, h: DoubleFormField, x: np.ndarray,
     h0, h1, h2 = eps * h.eval(x).comps, eps * h.d1(x), eps * h.d2(x)
     if np.any(np.linalg.eigvalsh(G + h0) <= 0):
         raise ValueError("perturbed metric not positive-definite")
-    R_pert = _riemann_from_jets(G + h0, d1 + h1, d2 + h2)
-    R_base = _riemann_from_jets(G, d1, d2)
+    R_pert = _riemann_packed(G + h0, d1 + h1, d2 + h2)
+    R_base = _riemann_packed(G, d1, d2)
     jh = jet_from_partials(g.n, 1, 1, h0, h1, h2,
                            gamma=_christoffel_from_jets(G, d1),
                            dgamma=_christoffel_d1_from_jets(G, d1, d2))
     box = jet_add(jet_d_left(jet_d_right(jh)), jet_d_right(jet_d_left(jh)))
-    return pack_22(R_pert - R_base, g.n) - 0.25 * box.form()
+    return R_pert - R_base - 0.25 * box.form()

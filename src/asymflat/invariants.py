@@ -18,7 +18,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .dforms import DoubleForm, coform, hodge, wedge, wedge_power
-from .curvature import _riemann_from_jets, d_right_comps, pack_22
+from .curvature import _riemann_packed, d_right_comps
 from .fields import MetricField
 from .gbc import GBCContext, lovelock
 from .kernels import center_kernel, mass_kernel
@@ -193,7 +193,7 @@ def _flux_integrands(g: MetricField, x: np.ndarray, nu: np.ndarray,
     if k == 1:
         P = np.ones(batch + (1,))
     else:
-        R = pack_22(_riemann_from_jets(*jets), n)
+        R = _riemann_packed(*jets)
         P = (R if k == 2 else wedge_power(R, k - 1)).comps.reshape(batch + (-1,))
     star = mass_kernel(n, k)(d1.reshape(batch + (-1,)), P)
     mass = np.einsum("...i,...i->...", star, nu)
@@ -212,7 +212,7 @@ def _dense_factors(g: MetricField, x: np.ndarray, ctx: GBCContext):
     jets = g.jet(x, 1 if ctx.k == 1 else 2)
     if ctx.k == 1:
         return jets[0], jets[1], None
-    R = pack_22(_riemann_from_jets(*jets), ctx.n)
+    R = _riemann_packed(*jets)
     return jets[0], jets[1], wedge_power(R, ctx.k - 1)
 
 
@@ -556,11 +556,6 @@ def _raw_flux_curves(g: MetricField, ctx: GBCContext, radii, level: int,
 
 def _raw_mass_curve(g: MetricField, ctx: GBCContext, radii, level: int) -> list:
     return _raw_flux_curves(g, ctx, radii, level, center=False)[0]
-
-
-def _raw_center_curve(g: MetricField, ctx: GBCContext, radii, level: int,
-                      axis: int) -> list:
-    return _raw_flux_curves(g, ctx, radii, level)[1 + axis]
 
 
 def _check_mass(g: MetricField, ctx: GBCContext) -> None:

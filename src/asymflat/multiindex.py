@@ -128,3 +128,11 @@ def compound_matrix(M: np.ndarray, p: int) -> np.ndarray:
     r = eval_cache(M.shape[-2], p)
     c = eval_cache(M.shape[-1], p)
     return np.linalg.det(M[..., r[:, None, :, None], c[None, :, None, :]])
+
+
+def _compound_2(M: np.ndarray) -> np.ndarray:
+    """compound_matrix(M, 2) of a square M from the closed form of each 2 x 2
+    minor, M_ik M_jl - M_il M_jk, in place of one LU determinant per minor."""
+    i, j = eval_cache(M.shape[-1], 2).T
+    i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
+    return M[..., i, k] * M[..., j, l] - M[..., i, l] * M[..., j, k]

@@ -1,6 +1,55 @@
 import numpy as np
 
-from asymflat.fields import MetricField
+from asymflat.chartchange import make_diffeo, pullback_metric, zeta_harmonic
+from asymflat.curvature import _christoffel_from_jets
+from asymflat.fields import MetricField, make_rt_perturbation, make_schwarzschild
+
+
+# ---------------------------------------------------------------------------
+# dense Riemann reference: the full n^4 array, raised with an n^6 einsum
+# ---------------------------------------------------------------------------
+
+def riemann_from_jets_dense(G, d1, d2):
+    """Lowered curvature array R[..., i, j, k, l] from the metric jets.
+
+    The overall sign is fixed so that the round sphere has positive values
+    on (e_i, e_j; e_i, e_j), i.e. R = (lambda/2) g owedge g with lambda > 0.
+    """
+    gam = _christoffel_from_jets(G, d1)
+    # second-derivative part: 1/2 (d_i d_l g_jk + d_j d_k g_il - d_i d_k g_jl - d_j d_l g_ik)
+    dd = 0.5 * (np.einsum("...iljk->...ijkl", d2) + np.einsum("...jkil->...ijkl", d2)
+                - np.einsum("...ikjl->...ijkl", d2) - np.einsum("...jlik->...ijkl", d2))
+    quad = np.einsum("...ab,...ail,...bjk->...ijkl", G, gam, gam, optimize=True) \
+        - np.einsum("...ab,...aik,...bjl->...ijkl", G, gam, gam, optimize=True)
+    return dd + quad
+
+
+def riemann_array_dense(g, x):
+    """Lowered curvature array of the metric field g at x."""
+    return riemann_from_jets_dense(*g.jet(x, 2))
+
+
+def raise_left_dense(Ginv, R):
+    """R# = g^-1 g^-1 R on the first index pair of the full array."""
+    return np.einsum("...ai,...bj,...ijkl->...abkl", Ginv, Ginv, R, optimize=True)
+
+
+def curvature_cases(n):
+    """Translated Schwarzschild at every k with n > 2k, a mixed-parity RT
+    perturbation and a harmonic-zeta pullback, in dimension n."""
+    center = np.linspace(0.3, -0.2, n)
+    cases = [make_schwarzschild(n, k, 1.0, center=center) for k in range(1, (n + 1) // 2)]
+    cases.append(make_rt_perturbation(n, 1.0, seed=2, parity="mixed", amplitude=0.3))
+    phi = make_diffeo(zeta=zeta_harmonic(n, 0.2, 1.6), tau_prime=1.6, n=n)
+    cases.append(pullback_metric(phi, make_schwarzschild(n, 1, 1.0)))
+    return cases
+
+
+def points_at_radii(n, shape, seed=0):
+    """Points of batch shape `shape` at radii between 4 and 9."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape + (n,))
+    return x * (rng.uniform(4.0, 9.0, shape + (1,)) / np.linalg.norm(x, axis=-1, keepdims=True))
 
 
 class RoundSphereChart(MetricField):

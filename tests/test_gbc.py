@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from asymflat.curvature import PolynomialDoubleFormField, riemann
+from asymflat.curvature import (
+    DoubleFormField,
+    PolynomialDoubleFormField,
+    christoffel,
+    christoffel_d1,
+    jet_add,
+    jet_d_left,
+    jet_d_right,
+    jet_from_partials,
+    pack_22,
+    riemann,
+)
 from asymflat.dforms import (
     DoubleForm,
     PointMetric,
@@ -14,9 +25,24 @@ from asymflat.dforms import (
     wedge_power,
 )
 from asymflat.fields import EuclideanMetric, make_rt_perturbation, make_schwarzschild
-from asymflat.gbc import GBCContext, l_k, lovelock, p_k, ricci, scal, variation_residual
+from asymflat.gbc import (
+    GBCContext,
+    _point_data,
+    l_k,
+    lovelock,
+    p_k,
+    ricci,
+    scal,
+    variation_residual,
+)
 
-from conftest import RoundSphereChart
+from conftest import (
+    RoundSphereChart,
+    curvature_cases,
+    points_at_radii,
+    raise_left_dense,
+    riemann_from_jets_dense,
+)
 
 
 def test_context_validation():
@@ -112,26 +138,66 @@ def test_flat_metric_curvatures_vanish():
     assert np.abs(scal(g, x)).max() == 0.0
 
 
+def _symmetric(field, scale=0.05):
+    """scale (h + h^T) of a (1,1) field h, with its partials."""
+    def sym(f):
+        return lambda y: scale * (f(y) + np.swapaxes(f(y), -1, -2))
+
+    return DoubleFormField(field.n, 1, 1, sym(lambda y: field.eval(y).comps),
+                           sym(field.d1), sym(field.d2))
+
+
 def test_variation_residual_second_order_at_flat():
     # around the flat metric the residual is O(eps^2)
     n = 3
     g = EuclideanMetric(n, r_min=0.0)
-    h = PolynomialDoubleFormField.random(n, 1, 1, seed=4)
-
-    def sym_h(field):
-        from asymflat.curvature import DoubleFormField
-        return DoubleFormField(
-            n, 1, 1,
-            lambda y: 0.05 * (field.eval(y).comps + np.swapaxes(field.eval(y).comps, -1, -2)),
-            lambda y: 0.05 * (field.d1(y) + np.swapaxes(field.d1(y), -1, -2)),
-            lambda y: 0.05 * (field.d2(y) + np.swapaxes(field.d2(y), -1, -2)),
-        )
-
-    hs = sym_h(h)
+    hs = _symmetric(PolynomialDoubleFormField.random(n, 1, 1, seed=4))
     x = np.array([0.3, -0.2, 0.4])
     r1 = variation_residual(g, hs, x, 1e-3).norm().max()
     r2 = variation_residual(g, hs, x, 1e-4).norm().max()
     assert r1 / r2 > 50.0  # quadratic: factor ~100 per decade
+
+
+def _dense_cases(n, shapes=((), (4,))):
+    """Every metric of `curvature_cases(n)` with points of each batch shape."""
+    return [(g, points_at_radii(n, shape)) for g in curvature_cases(n) for shape in shapes]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_point_data_raise_matches_dense_einsum(n):
+    # the 2 x 2 minors of G^-1 on the packed curvature against the n^6
+    # einsum on the full array; the largest difference seen is 7.2e-16 max|R#|
+    for g, x in _dense_cases(n):
+        G, d1, d2 = g.jet(x, 2)
+        ref = pack_22(raise_left_dense(np.linalg.inv(G), riemann_from_jets_dense(G, d1, d2)), n)
+        G_out, R_sharp = _point_data(g, x)
+        assert np.array_equal(G_out, G)
+        assert np.abs(R_sharp.comps - ref.comps).max() <= 1e-14 * np.abs(ref.comps).max()
+
+
+def _variation_residual_dense(g, h, x, eps):
+    """variation_residual with both curvatures from the full n^4 reference,
+    and the larger max|R| of the two."""
+    n = g.n
+    G, d1, d2 = g.jet(x, 2)
+    h0, h1, h2 = eps * h.eval(x).comps, eps * h.d1(x), eps * h.d2(x)
+    R_pert = riemann_from_jets_dense(G + h0, d1 + h1, d2 + h2)
+    R_base = riemann_from_jets_dense(G, d1, d2)
+    jh = jet_from_partials(n, 1, 1, h0, h1, h2,
+                           gamma=christoffel(g, x), dgamma=christoffel_d1(g, x))
+    box = jet_add(jet_d_left(jet_d_right(jh)), jet_d_right(jet_d_left(jh)))
+    scale = max(np.abs(R_pert).max(), np.abs(R_base).max())
+    return pack_22(R_pert - R_base, n).comps - 0.25 * box.form().comps, scale
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_variation_residual_matches_dense_reference(n):
+    # bound relative to the larger of the two curvatures differenced; the
+    # largest difference seen is 2.8e-16 of it
+    h = _symmetric(PolynomialDoubleFormField.random(n, 1, 1, seed=4), scale=0.002)
+    for g, x in _dense_cases(n, shapes=[(4,)]):
+        ref, scale = _variation_residual_dense(g, h, x, 1e-2)
+        assert np.abs(variation_residual(g, h, x, 1e-2).comps - ref).max() <= 1e-14 * scale
 
 
 ORACLE_CASES = [(3, 1), (4, 1), (5, 1), (5, 2), (6, 2), (7, 3)]

@@ -5,6 +5,7 @@ import pytest
 
 from asymflat.dforms import DoubleForm, evaluate, form, hodge, wedge
 from asymflat.multiindex import (
+    _compound_2,
     compound_matrix,
     index_position,
     merge_sign,
@@ -110,6 +111,19 @@ def test_compound_matrix_determinant():
     C = compound_matrix(A, 5)
     assert C.shape == (1, 1)
     assert np.isclose(C[0, 0], np.linalg.det(A))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_form_2x2_compound_matches_the_determinants(n):
+    # batch shapes (), (m,) and (a, b); the 2 x 2 minors a d - b c against
+    # one LU determinant each, within 4e-15 max|M|^2 (observed 2.9e-16)
+    rng = np.random.default_rng(n)
+    for shape in [(), (4,), (2, 3)]:
+        M = rng.standard_normal(shape + (n, n))
+        ref = compound_matrix(M, 2)
+        out = _compound_2(M)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 4e-15 * np.abs(M).max() ** 2
 
 
 def test_compound_matrix_rectangular():
