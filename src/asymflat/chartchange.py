@@ -5,23 +5,28 @@ A is a Euclidean isometry (orthogonal matrix plus translation) and
 S(x) = x + zeta(x) with a decaying vector field zeta.  The pullback metric
 carries derivatives to order three computed by exact chain rule from the
 polynomial derivatives of zeta; no finite differencing enters, because the
-invariance differences being measured are small.  `Diffeo.zeta_jet`
-derives zeta one order at a time, the first time that order is asked for,
-so a pullback read to order k builds zeta only to order k + 1 (a k = 1
-mass never builds order 3 or above).  `PullbackMetric.jet`
-builds every asked order in one pass: Phi is differentiated once, the base
-metric is read through one `jet` call at Phi(x), and one Faa di Bruno and
-Leibniz expansion yields all orders; `eval`/`d1`/`d2`/`d3` are its levels.
+invariance differences being measured are small.  `Diffeo` derives zeta
+one order at a time, the first time that order is asked for, so a pullback
+read to order k builds zeta only to order k + 1 (a k = 1 mass never builds
+order 3 or above).  `PullbackMetric.jet` builds every asked order in one
+pass over a flat batch: zeta and its derivatives come from one shared
+table of coordinate powers (`fields.eval_polys`), each derivative of Phi is
+one matmul with Q^T, the base metric is read through one `jet` call at
+Phi(x), and the Faa di Bruno and Leibniz expansions of Phi* g = J G J^T are
+batched matmuls on C-contiguous operands, one per slot count and mirror
+pair (`_compose_jets`, `_leibniz`); `eval`/`d1`/`d2`/`d3` are its levels.
+The one-einsum-per-term expansion stays in `tests/conftest.py` as the dense
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from math import factorial
 
 import numpy as np
 
-from .fields import ChartError, MetricField, RadialPoly, TensorRadialPoly
+from .fields import ChartError, MetricField, RadialPoly, TensorRadialPoly, eval_polys
 from .gbc import GBCContext
 from .invariants import (
     InvariantResult,
@@ -87,33 +92,29 @@ class Diffeo:
     _jets: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._jets = [] if self.zeta is None else [self.zeta]
+        # no zeta is the zero field: its jets evaluate to zeros of each order
+        zero = np.full((self.n,), RadialPoly.zero(self.n), dtype=object)
+        self._jets = [TensorRadialPoly(self.n, zero) if self.zeta is None else self.zeta]
 
-    def zeta_jet(self, x: np.ndarray, order: int) -> np.ndarray:
-        """order-th partial-derivative array of zeta (derivative axes lead).
-
-        Each order is derived from the one below the first time it is asked
-        for, so a pullback read to order k never builds zeta past k + 1.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.zeta is None:
-            shape = x.shape[:-1] + (self.n,) * (order + 1)
-            return np.zeros(shape)
+    def _polys(self, order: int) -> list[TensorRadialPoly]:
+        """[zeta, d zeta, ..., d^order zeta], each derived from the one below
+        the first time it is asked for, so a pullback read to order k never
+        builds zeta past k + 1."""
         while len(self._jets) <= order:
             self._jets.append(self._jets[-1].deriv())
-        return self._jets[order](x)
+        return self._jets[:order + 1]
+
+    def zeta_jet(self, x: np.ndarray, order: int) -> np.ndarray:
+        """order-th partial-derivative array of zeta (derivative axes lead)."""
+        return self._polys(order)[order](x)
+
+    def zeta_jets(self, x: np.ndarray, order: int) -> list[np.ndarray]:
+        """[zeta_jet(x, m) for m = 0..order] from one shared power table."""
+        return eval_polys(self._polys(order), x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        s = x + self.zeta_jet(x, 0)
-        return np.einsum("ab,...b->...a", self.Q, s) + self.w
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """DPhi with convention J[..., i, a] = d_i Phi^a."""
-        x = np.asarray(x, dtype=float)
-        z1 = self.zeta_jet(x, 1)  # (..., i, c) = d_i zeta^c
-        core = np.broadcast_to(np.eye(self.n), z1.shape) + z1
-        return np.einsum("ac,...ic->...ia", self.Q, core)
+        return (x + self.zeta_jet(x, 0)) @ self.Q.T + self.w
 
 
 def make_diffeo(Q: np.ndarray | None = None, w: np.ndarray | None = None,
@@ -124,8 +125,9 @@ def make_diffeo(Q: np.ndarray | None = None, w: np.ndarray | None = None,
 
     The contraction bound sup |d zeta| < 1 is certified by sampling dyadic
     shells outward from `r_hint`; r_valid is the first sampled shell radius
-    from which the sampled sup stays below 0.9.  A zeta that never
-    contracts on the sampled range is rejected.
+    from which the sampled sup stays below 0.9 on every shell further out.
+    A zeta whose sampled sup on the outermost shell is 0.9 or more is
+    rejected.
     """
     if n is None:
         for src in (Q, w):
@@ -151,18 +153,17 @@ def make_diffeo(Q: np.ndarray | None = None, w: np.ndarray | None = None,
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((samples, n))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    r_valid = None
-    sups = []
-    for j in range(12):
-        r = r_hint * 2.0 ** j
-        z1 = phi.zeta_jet(r * dirs, 1)
-        sup = float(np.max(np.linalg.norm(z1, axis=(-2, -1))))
-        sups.append(sup)
-        if r_valid is None and sup < 0.9:
-            r_valid = r
-    if r_valid is None:
+    radii = r_hint * 2.0 ** np.arange(12)
+    z1 = phi.zeta_jet(radii[:, None, None] * dirs, 1)   # every shell at once
+    sups = np.max(np.linalg.norm(z1, axis=(-2, -1)), axis=1)
+    if sups[-1] >= 0.9:
         raise ValueError(
-            f"zeta does not contract on the sampled shells (min sup |dzeta| = {min(sups):.3g})")
+            f"zeta does not contract on the outermost sampled shell "
+            f"(sup |dzeta| = {sups[-1]:.3g} at r = {radii[-1]:.4g})")
+    j = len(sups)
+    while j > 0 and sups[j - 1] < 0.9:
+        j -= 1
+    r_valid = float(radii[j])
     # injectivity spot check on the first valid shell
     pts = r_valid * dirs
     imgs = pts + phi.zeta_jet(pts, 0)
@@ -178,78 +179,128 @@ def make_diffeo(Q: np.ndarray | None = None, w: np.ndarray | None = None,
 # pullback metric with exact chain-rule jets
 # ---------------------------------------------------------------------------
 
-_LETTERS = "uvst"
+def _phi_jets(Q: np.ndarray, dzeta: list[np.ndarray]) -> list[np.ndarray]:
+    """[DPhi, D^2 Phi, ...] from [d zeta, d^2 zeta, ...] on a flat batch.
+
+    J[m][:, K, i, a] = d_K d_i Phi^a with m derivative axes K: each level is
+    one matmul of the zeta derivative array with Q^T.
+    """
+    n = len(Q)
+    out = []
+    for m, z in enumerate(dzeta):
+        core = z + np.eye(n) if m == 0 else z
+        out.append((core.reshape(-1, n) @ Q.T).reshape(z.shape))
+    return out
 
 
-def _phi_jets(phi: Diffeo, x: np.ndarray, depth: int) -> list[np.ndarray]:
-    """[J1, ..., J_{depth+1}] with J_m[..., k_1..k_{m-1}, i, a] = d..d_i Phi^a."""
-    n = phi.n
-    x = np.asarray(x, dtype=float)
-    z1 = phi.zeta_jet(x, 1)
-    J = [np.einsum("ac,...ic->...ia", phi.Q,
-                   np.broadcast_to(np.eye(n), z1.shape) + z1)]
-    for m in range(2, depth + 2):
-        J.append(np.einsum("ac,...c->...a", phi.Q, phi.zeta_jet(x, m)))
-    return J
+def _lead(T: np.ndarray, axis: int) -> np.ndarray:
+    """T with `axis` moved to follow the batch axis, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(T, axis, 1))
 
 
-def _compose_jets(gj: list[np.ndarray], J: list[np.ndarray]):
-    """Partial derivatives of g pulled through Phi (Faa di Bruno to order 3).
+def _compose_jets(gj: list[np.ndarray], J: list[np.ndarray]) -> list[np.ndarray]:
+    """Partials of g(Phi(x)) on a flat batch (Faa di Bruno to order 3).
 
     `gj` is the base metric's jet [g, dg, ...] at Phi(x), to the depth asked
     of the pullback, and `J` the derivative arrays of Phi from `_phi_jets`.
+    Every contraction over a base derivative axis c is one batched matmul
+    with that axis leading a C-contiguous operand.  Each result is symmetric
+    in its derivative axes, so the order in which they come out is free.
     """
     depth = len(gj) - 1
+    N, n = J[0].shape[:2]
     G = [gj[0]]
     if depth >= 1:
-        G.append(np.einsum("...cab,...kc->...kab", gj[1], J[0]))
+        dg = gj[1].reshape(N, n, n * n)
+        G.append((J[0] @ dg).reshape(gj[1].shape))
     if depth >= 2:
-        G.append(np.einsum("...cdab,...kc,...ld->...klab", gj[2], J[0], J[0],
-                           optimize=True)
-                 + np.einsum("...cab,...klc->...klab", gj[1], J[1]))
+        # A[:, m, d, ab] = sum_c J_mc d_c d_d g_ab, read again at order 3
+        A = (J[0] @ gj[2].reshape(N, n, n ** 3)).reshape(gj[2].shape)
+        A = _lead(A, 2).reshape(N, n, n ** 3)
+        G.append((J[0] @ A).reshape(gj[2].shape)
+                 + (J[1].reshape(N, n * n, n) @ dg).reshape(gj[2].shape))
     if depth >= 3:
-        gd1, gd2, gd3 = gj[1:]
-        J1, J2, J3 = J[:3]
-        term = np.einsum("...cdeab,...kc,...ld,...me->...klmab",
-                         gd3, J1, J1, J1, optimize=True)
-        # second-derivative factor sits on (kl), (km), or (lm); build the
-        # first by contraction and the other two by permuting derivative axes
-        mixed = np.einsum("...cdab,...klc,...md->...klmab", gd2, J2, J1,
-                          optimize=True)
-        term = term + mixed
-        term = term + np.swapaxes(mixed, -4, -3)     # [k,m,l] placement (km)
-        term = term + np.moveaxis(mixed, -3, -5)     # [l,m,k] placement (lm)
-        term = term + np.einsum("...cab,...klmc->...klmab", gd1, J3)
-        G.append(term)
+        shape = gj[3].shape
+        # contract c, then bring the next uncontracted axis to the front
+        T = gj[3].reshape(N, n, n ** 4)
+        for axis in (2, 3):
+            T = _lead((J[0] @ T).reshape(shape), axis).reshape(N, n, n ** 4)
+        T = J[0] @ T
+        # d^2 Phi on (k, l) paired with d_m Phi, then on (k, m) and (l, m)
+        mixed = (J[1].reshape(N, n * n, n) @ A).reshape(shape)
+        T = T.reshape(shape)
+        T += mixed
+        T += np.swapaxes(mixed, 2, 3)
+        T += np.moveaxis(mixed, 3, 1)
+        T += (J[2].reshape(N, n ** 3, n) @ dg).reshape(shape)
+        G.append(T)
     return G
 
 
-def _leibniz_terms(order: int, jets: list[list[np.ndarray]],
-                   core_specs: list[str], out_core: str) -> np.ndarray:
-    """Total derivative of an einsum product via ordered axis assignment.
+def _leibniz(J: list[np.ndarray], G: list[np.ndarray]) -> list[np.ndarray]:
+    """[d^m (J G J^T) for m = 0..len(G) - 1] on a flat batch.
 
-    `jets[f][m]` is the m-th derivative array of factor f with m symmetric
-    derivative axes leading its core axes; assigning each of the `order`
-    derivative slots to one factor and summing reproduces the full Leibniz
-    expansion without explicit symmetrization.
+    d^m sums over the ordered assignments of its m derivative slots to the
+    three factors.  The assignments that give the factors (s0, s1, s2)
+    slots are one product B = J[s0] G[s1] J[s2]^T with its derivative axes
+    in every order, so d^m is the sum over all orders of those axes of
+    F = sum_s B_s / (s0! s1! s2!).  An assignment and its mirror (the J and
+    J^T slots swapped) give transposes of each other, because every level
+    of G is symmetric, so F keeps one of each pair and d^m is S + S^T for
+    that symmetrized half S; the all-G product is its own mirror and
+    enters at half weight.
+
+    Each product is two C-contiguous batched matmuls with the derivative
+    axes folded into the rows: a contracts J[s0][:, K0, i, a], through
+    P = G J^T when G carries no slot, else through G[s1] with a moved ahead
+    of its derivative axes, and b contracts J[s2][:, K2, j, b].  The
+    product comes out as [K0, i, K1, K2, j]; since K0 and i are derivative
+    axes of Phi, which commute, it is read as [i, K0, K1, K2, j], so every
+    product shares the layout [i, K, j] and F is a sum of whole arrays.
     """
-    nfac = len(jets)
-    total = None
-    for assign in iter_product(range(nfac), repeat=order):
-        counts = [0] * nfac
-        labels: list[list[str]] = [[] for _ in range(nfac)]
-        for slot, f in enumerate(assign):
-            counts[f] += 1
-            labels[f].append(_LETTERS[slot])
-        operands = []
-        specs = []
-        for f in range(nfac):
-            operands.append(jets[f][counts[f]])
-            specs.append("..." + "".join(labels[f]) + core_specs[f])
-        out = "..." + "".join(_LETTERS[:order]) + out_core
-        term = np.einsum(",".join(specs) + "->" + out, *operands, optimize=True)
-        total = term if total is None else total + term
-    return total
+    N, n = J[0].shape[:2]
+    JT = {}     # JT[s][:, b, K, j] = J[s][:, K, j, b]
+    P = {}      # P[s] = G J[s]^T, [a, K, j]
+
+    def right(s):
+        if s not in JT:
+            JT[s] = _lead(J[s], s + 2).reshape(N, n, n ** (s + 1))
+        return JT[s]
+
+    def product(s0, s1, s2, w=1.0):
+        """w J[s0] G[s1] J[s2]^T, with w applied to the smallest operand."""
+        left = J[s0].reshape(N, n ** (s0 + 1), n)
+        if s1 == 0:
+            if s2 not in P:
+                P[s2] = G[0] @ right(s2)
+            B = left @ (P[s2] * w)
+        else:
+            # G[s1] as [a, K1, b], a temporary freed after the first matmul
+            B = (left @ _lead(G[s1], s1 + 1).reshape(N, n, n ** (s1 + 1))
+                 ).reshape(N, n ** (s0 + s1 + 1), n) @ (right(s2) * w)
+        return B.reshape((N,) + (n,) * (s0 + s1 + s2 + 2))
+
+    out = [product(0, 0, 0)]
+    for m in range(1, len(G)):
+        F = product(0, m, 0, 0.5 / factorial(m))
+        for s0 in range(1, m + 1):
+            for s2 in range(min(s0, m - s0) + 1):
+                s1 = m - s0 - s2
+                w = 1.0 / (factorial(s0) * factorial(s1) * factorial(s2))
+                F += product(s0, s1, s2, 0.5 * w if s0 == s2 else w)
+        # sum over every order of the derivative axes 2..m+1: F is symmetric
+        # in the first t of them, and the next one is moved to each place
+        for t in range(1, m):
+            moved = [np.moveaxis(F, 2 + t, 2 + u) for u in range(t)]
+            F = F + moved[0]
+            for V in moved[1:]:
+                F += V
+        K = list(range(2, m + 2))
+        D = np.empty((N,) + (n,) * (m + 2))
+        np.add(F.transpose([0] + K + [1, m + 2]), F.transpose([0] + K + [m + 2, 1]),
+               out=D)
+        out.append(D)
+    return out
 
 
 class PullbackMetric(MetricField):
@@ -276,18 +327,20 @@ class PullbackMetric(MetricField):
         raise ChartError("pullback chart escapes the base chart at all sampled radii")
 
     def jet(self, x, order):
-        """Partials of Phi* g to `order` from one pass: Phi is differentiated
-        once, to order + 1, and the base metric read once, to `order`."""
+        """Partials of Phi* g to `order` from one pass: zeta is evaluated
+        once, to order + 1, from one power table, and the base metric read
+        once, to `order`, at Phi(x)."""
         x = np.asarray(x, dtype=float)
         self.check_chart(x)
-        y = self.phi.apply(x)
+        phi, n = self.phi, self.n
+        flat = x.reshape(-1, n)
+        zeta = phi.zeta_jets(flat, order + 1)
+        y = (flat + zeta[0]) @ phi.Q.T + phi.w      # Phi(x), as in `apply`
         self.base.check_chart(y)
-        J = _phi_jets(self.phi, x, order)
+        J = _phi_jets(phi.Q, zeta[1:])
+        del zeta    # not read again: free it before the larger arrays come
         G = _compose_jets(self.base.jet(y, order), J)
-        jets_J = J[:order + 1]
-        jets = [jets_J, G, jets_J]
-        return [_leibniz_terms(m, jets, ["ia", "ab", "jb"], "ij")
-                for m in range(order + 1)]
+        return [d.reshape(x.shape[:-1] + d.shape[1:]) for d in _leibniz(J, G)]
 
     def eval(self, x):
         return self.jet(x, 0)[0]

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import lru_cache
 
 import numpy as np
 
@@ -329,7 +330,10 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so every `main` call parses as a fresh parser would."""
     parser = argparse.ArgumentParser(
         prog="asymflat",
         description="Asymptotic invariants of asymptotically flat metrics.")

@@ -113,7 +113,8 @@ class TensorRadialPoly:
     matrix so a whole derivative tensor costs one monomial table plus one
     matmul per batch of points.  The monomials come from one table of powers
     x_i ** a per coordinate, gathered per monomial and multiplied over i, and
-    then by each distinct r ** beta gathered the same way.
+    then by each distinct r ** beta gathered the same way (`eval_polys`,
+    which shares that table between several polynomials).
     """
 
     def __init__(self, n: int, arr: np.ndarray):
@@ -154,28 +155,51 @@ class TensorRadialPoly:
         return self._compiled
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        coeff, alphas, rbetas, rslot, nkeys = self._compiled or self._compile()
-        batch = x.shape[:-1]
-        if nkeys == 0:
-            return np.zeros(batch + self.arr.shape)
-        ones = np.ones(batch)
-        mono = None
-        for i in range(self.n):
-            # powers[a] = x_i ** a, with the numpy-integer exponents that
-            # `alphas` stores, so each factor is the pow call a monomial-by-
-            # monomial evaluation makes and the results stay bit-identical
-            powers = [ones] + [x[..., i] ** a
-                               for a in np.arange(1, alphas[:, i].max() + 1)]
-            # `take` keeps the monomial table C-ordered, which the matmul
-            # below needs to sum in the same order as a built-up table
-            factor = np.take(np.stack(powers, axis=-1), alphas[:, i], axis=-1)
-            mono = factor if mono is None else mono * factor
+        return eval_polys([self], x)[0]
+
+
+def eval_polys(polys, x: np.ndarray) -> list[np.ndarray]:
+    """Evaluate several TensorRadialPolys at x from one shared power table.
+
+    The table holds x_i ** a for every coordinate up to the largest exponent
+    any of `polys` uses, and r ** beta for every beta any of them uses; each
+    polynomial then gathers its own monomial columns from it and runs its
+    own matmul, so each result is bit-identical to evaluating that
+    polynomial alone.
+    """
+    x = np.asarray(x, dtype=float)
+    batch = x.shape[:-1]
+    compiled = [T._compiled or T._compile() for T in polys]
+    live = [c for c in compiled if c[4]]
+    if live:
+        ones = np.ones(x[..., 0].size)
+        # powers[i][a] = x_i ** a, with the numpy-integer exponents that
+        # `alphas` stores and on arrays of the batch shape, so each factor
+        # is the pow call a monomial-by-monomial evaluation makes (numpy may
+        # take another pow for a 0-d array than for a 1-d one) and the
+        # results stay bit-identical; each power is then one flat row
+        top = np.max([c[1].max(axis=0) for c in live], axis=0)
+        powers = [np.stack([ones] + [(x[..., i] ** a).reshape(-1)
+                                     for a in np.arange(1, top[i] + 1)])
+                  for i in range(x.shape[-1])]
+        betas = np.array(sorted({b for c in live for b in c[2]}))
         r = np.linalg.norm(x, axis=-1)
-        radial = np.stack([ones if b == 0.0 else r ** b for b in rbetas], axis=-1)
-        mono = mono * np.take(radial, rslot, axis=-1)
-        vals = mono @ coeff.T
-        return vals.reshape(batch + self.arr.shape)
+        radial = np.stack([ones if b == 0.0 else (r ** b).reshape(-1) for b in betas])
+    out = []
+    for T, (coeff, alphas, rbetas, rslot, nkeys) in zip(polys, compiled):
+        if nkeys == 0:
+            out.append(np.zeros(batch + T.shape))
+            continue
+        # one contiguous row per monomial and factor, multiplied over i and
+        # then laid out C-ordered (nodes, monomials), which the matmul below
+        # needs to sum in the same order as a built-up table
+        mono = powers[0][alphas[:, 0]]
+        for i in range(1, len(powers)):
+            mono *= powers[i][alphas[:, i]]
+        mono *= radial[np.searchsorted(betas, rbetas)[rslot]]
+        mono = np.ascontiguousarray(mono.T).reshape(batch + (len(alphas),))
+        out.append((mono @ coeff.T).reshape(batch + T.shape))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import numpy as np
 
 from asymflat.chartchange import make_diffeo, pullback_metric, zeta_harmonic
@@ -32,6 +34,80 @@ def riemann_array_dense(g, x):
 def raise_left_dense(Ginv, R):
     """R# = g^-1 g^-1 R on the first index pair of the full array."""
     return np.einsum("...ai,...bj,...ijkl->...abkl", Ginv, Ginv, R, optimize=True)
+
+
+# ---------------------------------------------------------------------------
+# dense pullback reference: chain rule and Leibniz rule as one einsum per
+# term and slot assignment
+# ---------------------------------------------------------------------------
+
+_LETTERS = "uvst"
+
+
+def phi_jets_dense(phi, x, depth):
+    """[J1, ..., J_{depth+1}] with J_m[..., k_1..k_{m-1}, i, a] = d..d_i Phi^a."""
+    n = phi.n
+    x = np.asarray(x, dtype=float)
+    z1 = phi.zeta_jet(x, 1)
+    J = [np.einsum("ac,...ic->...ia", phi.Q,
+                   np.broadcast_to(np.eye(n), z1.shape) + z1)]
+    for m in range(2, depth + 2):
+        J.append(np.einsum("ac,...c->...a", phi.Q, phi.zeta_jet(x, m)))
+    return J
+
+
+def compose_jets_dense(gj, J):
+    """Partials of g pulled through Phi (Faa di Bruno to order 3)."""
+    depth = len(gj) - 1
+    G = [gj[0]]
+    if depth >= 1:
+        G.append(np.einsum("...cab,...kc->...kab", gj[1], J[0]))
+    if depth >= 2:
+        G.append(np.einsum("...cdab,...kc,...ld->...klab", gj[2], J[0], J[0],
+                           optimize=True)
+                 + np.einsum("...cab,...klc->...klab", gj[1], J[1]))
+    if depth >= 3:
+        gd1, gd2, gd3 = gj[1:]
+        J1, J2, J3 = J[:3]
+        term = np.einsum("...cdeab,...kc,...ld,...me->...klmab",
+                         gd3, J1, J1, J1, optimize=True)
+        mixed = np.einsum("...cdab,...klc,...md->...klmab", gd2, J2, J1,
+                          optimize=True)
+        term = term + mixed
+        term = term + np.swapaxes(mixed, -4, -3)
+        term = term + np.moveaxis(mixed, -3, -5)
+        term = term + np.einsum("...cab,...klmc->...klmab", gd1, J3)
+        G.append(term)
+    return G
+
+
+def leibniz_terms_dense(order, jets, core_specs, out_core):
+    """Total derivative of an einsum product, one einsum per ordered
+    assignment of the `order` derivative slots to the factors."""
+    nfac = len(jets)
+    total = None
+    for assign in iter_product(range(nfac), repeat=order):
+        counts = [0] * nfac
+        labels = [[] for _ in range(nfac)]
+        for slot, f in enumerate(assign):
+            counts[f] += 1
+            labels[f].append(_LETTERS[slot])
+        operands = [jets[f][counts[f]] for f in range(nfac)]
+        specs = ["..." + "".join(labels[f]) + core_specs[f] for f in range(nfac)]
+        out = "..." + "".join(_LETTERS[:order]) + out_core
+        term = np.einsum(",".join(specs) + "->" + out, *operands, optimize=True)
+        total = term if total is None else total + term
+    return total
+
+
+def pullback_jet_dense(gp, x, order):
+    """[Phi* g, d(Phi* g), ...] to `order` from the dense chain and Leibniz rules."""
+    x = np.asarray(x, dtype=float)
+    J = phi_jets_dense(gp.phi, x, order)
+    G = compose_jets_dense(gp.base.jet(gp.phi.apply(x), order), J)
+    jets = [J[:order + 1], G, J[:order + 1]]
+    return [leibniz_terms_dense(m, jets, ["ia", "ab", "jb"], "ij")
+            for m in range(order + 1)]
 
 
 def curvature_cases(n):

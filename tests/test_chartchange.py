@@ -15,7 +15,7 @@ from asymflat.fields import EuclideanMetric, make_schwarzschild
 from asymflat.gbc import GBCContext
 from asymflat.invariants import gbc_mass
 
-from conftest import CountingMetric
+from conftest import CountingMetric, points_at_radii, pullback_jet_dense
 
 RADII = [20.0 * 2**j for j in range(5)]
 
@@ -24,11 +24,19 @@ def rotation(n, seed):
     return ortho_group.rvs(n, random_state=seed)
 
 
+def jacobian(phi, x):
+    """DPhi with convention J[..., i, a] = d_i Phi^a."""
+    x = np.asarray(x, dtype=float)
+    z1 = phi.zeta_jet(x, 1)  # (..., i, c) = d_i zeta^c
+    core = np.broadcast_to(np.eye(phi.n), z1.shape) + z1
+    return np.einsum("ac,...ic->...ia", phi.Q, core)
+
+
 def test_make_diffeo_identity():
     phi = make_diffeo(n=3)
     x = np.array([1.0, 2.0, 3.0])
     assert np.allclose(phi.apply(x), x)
-    assert np.allclose(phi.jacobian(x), np.eye(3))
+    assert np.allclose(jacobian(phi, x), np.eye(3))
     assert phi.r_valid == 0.0
 
 
@@ -44,11 +52,22 @@ def test_make_diffeo_rejects_noncontracting_zeta():
         make_diffeo(zeta=z, tau_prime=0.0, n=3)
 
 
+def test_make_diffeo_r_valid_needs_every_outer_shell_to_contract():
+    # zeta = c x r^(1/2) grows: its sup |d zeta| is below 0.9 on the inner
+    # shells and rises above it further out, so no shell is valid
+    z = zeta_radial(3, 0.05, -0.5)
+    with pytest.raises(ValueError, match="outermost sampled shell"):
+        make_diffeo(zeta=z, tau_prime=-0.5, n=3)
+    # a falling sup that drops below 0.9 from r = 8 on: r_valid is 8
+    phi = make_diffeo(zeta=zeta_radial(3, 3.0, 1.0), tau_prime=1.0, n=3)
+    assert phi.r_valid == 8.0
+
+
 def test_diffeo_apply_and_jacobian_consistency():
     z = zeta_radial(3, 0.5, 1.0)
     phi = make_diffeo(Q=rotation(3, 1), w=[1.0, -2.0, 0.5], zeta=z, tau_prime=1.0)
     x = np.array([8.0, -3.0, 5.0])
-    J = phi.jacobian(x)
+    J = jacobian(phi, x)
     h = 1e-6
     for i in range(3):
         e = np.zeros(3)
@@ -145,13 +164,13 @@ def test_pullback_differentiates_phi_and_base_only_as_deep_as_asked():
     phi = make_diffeo(Q=rotation(n, 2), w=np.array([0.3, 0.0, -0.2]),
                       zeta=zeta_harmonic(n, 0.2, 1.6), tau_prime=1.6, n=n)
     orders = []
-    zeta_jet = phi.zeta_jet
+    zeta_jets = phi.zeta_jets
 
     def recording(x, order):
-        orders.append(order)
-        return zeta_jet(x, order)
+        orders.extend(range(order + 1))
+        return zeta_jets(x, order)
 
-    phi.zeta_jet = recording
+    phi.zeta_jets = recording
     base = CountingMetric(make_schwarzschild(n, 1, 1.0))
     gp = pullback_metric(phi, base)
     x = np.array([[30.0, -10.0, 20.0], [5.0, 25.0, -20.0]])
@@ -182,13 +201,13 @@ def test_pullback_consumers_build_the_pullback_once():
     phi = make_diffeo(Q=rotation(n, 4), w=np.array([0.3, 0.0, -0.2, 0.1, 0.0]),
                       zeta=zeta_harmonic(n, 0.2, 1.6), tau_prime=1.6, n=n)
     orders = []
-    zeta_jet = phi.zeta_jet
+    zeta_jets = phi.zeta_jets
 
     def recording(x, order):
-        orders.append(order)
-        return zeta_jet(x, order)
+        orders.extend(range(order + 1))
+        return zeta_jets(x, order)
 
-    phi.zeta_jet = recording
+    phi.zeta_jets = recording
     base = CountingMetric(make_schwarzschild(n, 2, 1.0))
     gp = pullback_metric(phi, base)
     ctx = GBCContext(n, 2)
@@ -226,16 +245,21 @@ def test_diffeo_constructor_seeds_the_zeta_jets():
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_zeta_jets_equal_the_eager_derivative_chain(n):
     rng = np.random.default_rng(31 + n)
-    x = rng.standard_normal((6, n)) * 30.0
     for zeta in (zeta_harmonic(n, 0.2, 1.6), zeta_radial(n, 0.1, 1.6)):
         phi = make_diffeo(zeta=zeta, tau_prime=1.6, n=n)
-        # ask out of order: a later, lower order reuses what is built
-        orders = (4, 0, 2, 1, 3)
-        lazy = {m: phi.zeta_jet(x, m) for m in orders}
-        eager = zeta
-        for m in range(5):
-            assert np.array_equal(lazy[m], eager(x)), m
-            eager = eager.deriv()
+        eager = [zeta]
+        for m in range(4):
+            eager.append(eager[-1].deriv())
+        for shape in ((6,), (), (2, 3)):
+            x = rng.standard_normal(shape + (n,)) * 30.0
+            # ask out of order: a later, lower order reuses what is built
+            orders = (4, 0, 2, 1, 3)
+            lazy = {m: phi.zeta_jet(x, m) for m in orders}
+            # the shared power table gives the same bits as each order alone
+            shared = phi.zeta_jets(x, 4)
+            for m in range(5):
+                assert np.array_equal(lazy[m], eager[m](x)), m
+                assert np.array_equal(shared[m], lazy[m]), m
 
 
 def test_k1_mass_on_a_pullback_derives_zeta_only_to_order_two():
@@ -248,3 +272,33 @@ def test_k1_mass_on_a_pullback_derives_zeta_only_to_order_two():
     gp = pullback_metric(phi, make_schwarzschild(n, 1, 1.0))
     gbc_mass(gp, GBCContext(n, 1), RADII[:3], level=3, step=0.5)
     assert len(phi._jets) == 3
+
+
+def _reference_cases(n):
+    """Harmonic and radial zeta, each plain and after a rotation and a
+    translation, over the Schwarzschild family with the largest k < n / 2."""
+    w = np.linspace(0.4, -0.3, n)
+    for zeta, tau in ((zeta_harmonic(n, 0.2, 1.6), 1.6), (zeta_radial(n, 0.3, 1.0), 1.0)):
+        for Q, shift in ((None, None), (rotation(n, n), w)):
+            phi = make_diffeo(Q=Q, w=shift, zeta=zeta, tau_prime=tau, n=n)
+            yield pullback_metric(phi, make_schwarzschild(n, (n - 1) // 2, 2.0))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_pullback_jet_matches_the_dense_reference(n):
+    # At order 0 both sides round entries of size one, and the Jacobian of a
+    # rotated chart differs from the einsum one by an ulp, so the relative
+    # bound needs max |g - delta| of a few percent: the base mass 2 keeps it
+    # at 0.04 or more on these points (radii 4 to 9).
+    worst = 0.0
+    for gp in _reference_cases(n):
+        for shape in ((), (4,), (2, 3)):
+            x = points_at_radii(n, shape, seed=n)
+            got = gp.jet(x, 3)
+            ref = pullback_jet_dense(gp, x, 3)
+            for m in range(4):
+                assert got[m].shape == ref[m].shape == shape + (n,) * (m + 2)
+                scale = np.abs(ref[m] - (np.eye(n) if m == 0 else 0.0)).max()
+                worst = max(worst, np.abs(got[m] - ref[m]).max() / scale)
+    print(f"n={n}: largest |jet - dense| / max|d^m(g - delta)| = {worst:.2e}")
+    assert worst < 1e-14

@@ -198,3 +198,34 @@ def test_invariance_negative_control_strict(capsys, tmp_path):
     code, out, _ = run(["invariance", "--config", str(cfg), "--strict"], capsys)
     assert code == 2
     assert "DRIFT" in out
+
+
+def test_cached_parser_parses_like_a_fresh_one(capsys, tmp_path):
+    from asymflat.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    fresh = _build_parser.__wrapped__
+    for argv in (["mass", "--n", "5", "--k", "2", "--strict", "--step", "0.5"],
+                 ["invariance", "--zeta", "radial", "--zeta-c", "0.2"],
+                 ["verify", "--n", "4"], ["mass"]):
+        assert vars(_build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+    args = ["mass", "--n", "3", "--radii", "20:3", "--level", "3", "--step", "1"]
+    first = run(args + ["--out", str(tmp_path / "a")], capsys)
+    # bad arguments in between: argparse exits 2, a bad value exits 1
+    for bad in (["mass", "--n", "x"], ["nosuch"], ["verify", "--zeta", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert run(["center", "--level", "1"], capsys)[0] == 1
+    assert run(args + ["--out", str(tmp_path / "b")], capsys) == first
+
+
+def test_invariance_rejects_a_zeta_that_stops_contracting(capsys, tmp_path):
+    # zeta = c x r^(1/2): small |d zeta| on the inner shells, above 0.9 on
+    # the outer ones, so the chart change is refused before any quadrature
+    code, out, err = run(["invariance", "--n", "3", "--zeta", "radial",
+                          "--zeta-c", "0.05", "--tau-prime", "-0.5",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert "outermost sampled shell" in err
+    assert not (tmp_path / "invariance.json").exists()

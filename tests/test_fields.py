@@ -6,6 +6,7 @@ from asymflat.fields import (
     EuclideanMetric,
     RadialPoly,
     TensorRadialPoly,
+    eval_polys,
     fd_wrap,
     make_rt_perturbation,
     make_schwarzschild,
@@ -225,6 +226,20 @@ def test_table_evaluation_is_bit_identical_to_per_monomial_loop():
             got = T(x)
             assert got.shape == batch + T.shape, (name, batch)
             assert np.array_equal(got, _per_monomial_eval(T, x)), (name, batch)
+
+
+def test_shared_power_table_is_bit_identical_per_polynomial():
+    # every case of one dimension evaluated from one shared table, which
+    # then spans exponents and radial powers that most of them do not use
+    rng = np.random.default_rng(19)
+    cases = list(_table_cases())
+    for n in sorted({T.n for _, T in cases}):
+        names, polys = zip(*[(name, T) for name, T in cases if T.n == n])
+        for batch in ((), (1,), (7,), (3, 5)):
+            x = rng.standard_normal(batch + (n,)) * 20.0
+            for name, T, got in zip(names, polys, eval_polys(polys, x)):
+                assert got.shape == batch + T.shape, (name, batch)
+                assert np.array_equal(got, _per_monomial_eval(T, x)), (name, batch)
 
 
 def accumulated_terms(terms):
