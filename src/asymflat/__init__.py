@@ -25,7 +25,6 @@ from .dforms import (
 from .fields import (
     EuclideanMetric,
     MetricField,
-    fd_wrap,
     make_rt_perturbation,
     make_schwarzschild,
 )
@@ -49,7 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DoubleForm", "PointMetric", "bianchi", "contract", "hodge", "inner",
     "metric_form", "transpose", "wedge", "wedge_power",
-    "EuclideanMetric", "MetricField", "fd_wrap", "make_rt_perturbation",
+    "EuclideanMetric", "MetricField", "make_rt_perturbation",
     "make_schwarzschild", "riemann",
     "GBCContext", "l_k", "lovelock", "p_k", "ricci", "scal",
     "InvariantResult", "adm_mass_coordinate", "curvature_center",

@@ -26,7 +26,7 @@ from math import factorial
 
 import numpy as np
 
-from .fields import ChartError, MetricField, RadialPoly, TensorRadialPoly, eval_polys
+from .fields import ChartError, MetricField, TensorRadialPoly, eval_polys
 from .gbc import GBCContext
 from .invariants import (
     InvariantResult,
@@ -54,25 +54,18 @@ __all__ = [
 def zeta_radial(n: int, c: float, tau_prime: float) -> TensorRadialPoly:
     """zeta = c x r^(-tau'); components are odd functions of x, so the
     symmetrized gradient (the leading deviation of the pullback) is even."""
-    arr = np.empty((n,), dtype=object)
-    for j in range(n):
-        alpha = [0] * n
-        alpha[j] = 1
-        arr[j] = RadialPoly.monomial(n, alpha, -tau_prime, c)
-    return TensorRadialPoly(n, arr)
+    return TensorRadialPoly(n, (n,), np.eye(n, dtype=int), np.full(n, -tau_prime),
+                            np.diag(np.full(n, c)))
 
 
 def zeta_harmonic(n: int, c: float, tau_prime: float, axes=(0, 1)) -> TensorRadialPoly:
     """zeta^j = c x_a x_b x_j r^(-tau'-2) (odd components, anisotropic)."""
     a, b = axes
-    arr = np.empty((n,), dtype=object)
-    for j in range(n):
-        alpha = [0] * n
-        alpha[a] += 1
-        alpha[b] += 1
-        alpha[j] += 1
-        arr[j] = RadialPoly.monomial(n, alpha, -tau_prime - 2.0, c)
-    return TensorRadialPoly(n, arr)
+    alphas = np.eye(n, dtype=int)
+    alphas[:, a] += 1
+    alphas[:, b] += 1
+    return TensorRadialPoly(n, (n,), alphas, np.full(n, -tau_prime - 2.0),
+                            np.diag(np.full(n, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +82,22 @@ class Diffeo:
     zeta: TensorRadialPoly | None
     tau_prime: float
     r_valid: float
-    _jets: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        # no zeta is the zero field: its jets evaluate to zeros of each order
-        zero = np.full((self.n,), RadialPoly.zero(self.n), dtype=object)
-        self._jets = [TensorRadialPoly(self.n, zero) if self.zeta is None else self.zeta]
+        if self.zeta is None:
+            # the zero field, with no monomials: its jets are zeros
+            n = self.n
+            self.zeta = TensorRadialPoly(n, (n,), np.zeros((0, n)), np.zeros(0),
+                                         np.zeros((n, 0)))
 
     def _polys(self, order: int) -> list[TensorRadialPoly]:
-        """[zeta, d zeta, ..., d^order zeta], each derived from the one below
-        the first time it is asked for, so a pullback read to order k never
-        builds zeta past k + 1."""
-        while len(self._jets) <= order:
-            self._jets.append(self._jets[-1].deriv())
-        return self._jets[:order + 1]
+        """[zeta, d zeta, ..., d^order zeta]; each derivative is built the
+        first time it is asked for (`TensorRadialPoly.deriv`), so a pullback
+        read to order k never builds zeta past k + 1."""
+        polys = [self.zeta]
+        while len(polys) <= order:
+            polys.append(polys[-1].deriv())
+        return polys
 
     def zeta_jet(self, x: np.ndarray, order: int) -> np.ndarray:
         """order-th partial-derivative array of zeta (derivative axes lead)."""

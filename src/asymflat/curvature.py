@@ -37,7 +37,7 @@ from .dforms import (
     metric_form,
     wedge,
 )
-from .fields import MetricField, RadialPoly, TensorRadialPoly
+from .fields import MetricField, TensorRadialPoly
 from .multiindex import eval_cache
 
 __all__ = [
@@ -225,9 +225,7 @@ class PolynomialDoubleFormField(DoubleFormField):
     def __init__(self, n: int, p: int, q: int, trp: TensorRadialPoly):
         if trp.shape != (comb(n, p), comb(n, q)):
             raise ValueError("component polynomial array has wrong shape")
-        trp1 = trp.deriv()
-        trp2 = trp1.deriv()
-        super().__init__(n, p, q, trp, trp1, trp2)
+        super().__init__(n, p, q, trp, trp.deriv(), trp.deriv().deriv())
         self.trp = trp
 
     @classmethod
@@ -235,7 +233,6 @@ class PolynomialDoubleFormField(DoubleFormField):
                ) -> "PolynomialDoubleFormField":
         rng = np.random.default_rng(seed)
         Cp, Cq = comb(n, p), comb(n, q)
-        arr = np.empty((Cp, Cq), dtype=object)
         monos = [(0,) * n]
         for d in range(1, degree + 1):
             for i in range(n):
@@ -247,11 +244,8 @@ class PolynomialDoubleFormField(DoubleFormField):
                     alpha = [0] * n
                     alpha[i], alpha[i + 1] = 1, d - 1
                     monos.append(tuple(alpha))
-        for a in range(Cp):
-            for b in range(Cq):
-                arr[a, b] = RadialPoly(n, {(alpha, 0.0): rng.standard_normal()
-                                           for alpha in monos})
-        return cls(n, p, q, TensorRadialPoly(n, arr))
+        coeff = rng.standard_normal((Cp * Cq, len(monos)))
+        return cls(n, p, q, TensorRadialPoly(n, (Cp, Cq), monos, np.zeros(len(monos)), coeff))
 
 
 def deviation_field(g: MetricField) -> DoubleFormField:

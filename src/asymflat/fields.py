@@ -1,8 +1,10 @@
 """Metric fields on exterior charts of R^n with exact derivatives to order 3.
 
-Shipped families (generalized Schwarzschild, parity-controlled perturbations
-of the flat metric) carry closed-form derivatives; a finite-difference wrapper
-covers user-supplied black-box metrics.  Consumers read a metric through
+The shipped families (generalized Schwarzschild, parity-controlled
+perturbations of the flat metric) carry closed-form derivatives; the
+perturbations, and the chart changes of `chartchange`, are tensors of radial
+polynomials held as one (alphas, betas, coeff) table (`TensorRadialPoly`)
+and differentiated on that table.  Consumers read a metric through
 `MetricField.jet(x, order)`, one call per batch of nodes, and each family
 decides there which derivative orders it builds together.  Derivative array
 conventions:
@@ -14,8 +16,6 @@ conventions:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 __all__ = [
@@ -24,12 +24,9 @@ __all__ = [
     "EuclideanMetric",
     "SchwarzschildMetric",
     "RTPerturbationMetric",
-    "FDMetric",
-    "RadialPoly",
     "TensorRadialPoly",
     "make_schwarzschild",
     "make_rt_perturbation",
-    "fd_wrap",
 ]
 
 
@@ -41,118 +38,83 @@ class ChartError(ValueError):
 # radial polynomial calculus
 # ---------------------------------------------------------------------------
 
-class RadialPoly:
-    """Finite sums of terms  c * x^alpha * |x|^beta  (beta real).
-
-    Closed under partial differentiation, which makes it the backbone of the
-    shipped decaying families: perturbations, diffeomorphism generators, and
-    their derivatives to any order come out exact.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict | None = None):
-        self.n = n
-        # dict keys are already unique: only the zero coefficients go
-        self.terms: dict[tuple[tuple[int, ...], float], float] = (
-            {key: c for key, c in terms.items() if c != 0.0} if terms else {})
-
-    @classmethod
-    def monomial(cls, n: int, alpha, beta: float, coeff: float = 1.0) -> "RadialPoly":
-        return cls(n, {(tuple(alpha), float(beta)): coeff})
-
-    @classmethod
-    def zero(cls, n: int) -> "RadialPoly":
-        return cls(n)
-
-    def __add__(self, other: "RadialPoly") -> "RadialPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return RadialPoly(self.n, out)
-
-    def __mul__(self, scalar: float) -> "RadialPoly":
-        return RadialPoly(self.n, {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def deriv(self, i: int) -> "RadialPoly":
-        out: dict = {}
-        for (alpha, beta), c in self.terms.items():
-            if alpha[i] > 0:
-                a = list(alpha)
-                a[i] -= 1
-                key = (tuple(a), beta)
-                out[key] = out.get(key, 0.0) + c * alpha[i]
-            if beta != 0.0:
-                a = list(alpha)
-                a[i] += 1
-                key = (tuple(a), beta - 2.0)
-                out[key] = out.get(key, 0.0) + c * beta
-        return RadialPoly(self.n, out)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        out = np.zeros(x.shape[:-1])
-        for (alpha, beta), c in self.terms.items():
-            term = np.full(x.shape[:-1], c)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * x[..., i] ** a
-            if beta != 0.0:
-                term = term * r**beta
-            out = out + term
-        return out
-
-
 class TensorRadialPoly:
-    """An ndarray of RadialPolys with exact differentiation and fast evaluation.
+    """A tensor of finite sums  c * x^alpha * |x|^beta  (beta real), held as
+    one table with exact differentiation and fast evaluation.
 
-    Evaluation is compiled once into a (entries x monomials) coefficient
-    matrix so a whole derivative tensor costs one monomial table plus one
-    matmul per batch of points.  The monomials come from one table of powers
-    x_i ** a per coordinate, gathered per monomial and multiplied over i, and
-    then by each distinct r ** beta gathered the same way (`eval_polys`,
-    which shares that table between several polynomials).
+    `alphas` (M, n) and `betas` (M,) list the M distinct monomials and
+    `coeff` (E, M) the coefficient of each in each of the E entries of
+    `shape`, taken in C order.  Columns whose coefficients are all exact
+    zeros are dropped, so the zero tensor has M = 0.  The family is closed
+    under partial differentiation, which makes it the backbone of the
+    shipped decaying families: perturbations, diffeomorphism generators,
+    and their derivatives to any order come out exact.  `deriv` is built
+    the first time it is asked for and kept, so a chain T.deriv().deriv()
+    is derived only as deep as it is read, and only once.
+
+    A whole tensor costs one monomial table plus one matmul per batch of
+    points.  The monomials come from one table of powers x_i ** a per
+    coordinate, gathered per monomial and multiplied over i, and then by
+    each distinct r ** beta gathered the same way (`eval_polys`, which
+    shares that table between several polynomials).
     """
 
-    def __init__(self, n: int, arr: np.ndarray):
-        self.n = n
-        self.arr = np.asarray(arr, dtype=object)
-        self._compiled = None
+    __slots__ = ("n", "shape", "alphas", "betas", "coeff", "_deriv")
 
-    @property
-    def shape(self):
-        return self.arr.shape
+    def __init__(self, n: int, shape: tuple, alphas, betas, coeff):
+        coeff = np.asarray(coeff, dtype=float)
+        keep = coeff.any(axis=0)
+        self.n = n
+        self.shape = tuple(shape)
+        self.alphas = np.asarray(alphas, dtype=int)[keep]
+        self.betas = np.asarray(betas, dtype=float)[keep]
+        self.coeff = coeff if keep.all() else coeff[:, keep]
+        self._deriv = None
 
     def deriv(self) -> "TensorRadialPoly":
-        """Gradient: new leading axis of length n with partial derivatives."""
-        out = np.empty((self.n,) + self.arr.shape, dtype=object)
-        for k in range(self.n):
-            for idx in np.ndindex(self.arr.shape):
-                out[(k,) + idx] = self.arr[idx].deriv(k)
-        return TensorRadialPoly(self.n, out)
+        """Gradient: new leading axis of length n with partial derivatives.
 
-    def _compile(self):
-        keys: dict[tuple, int] = {}
-        flat = self.arr.reshape(-1)
-        for poly in flat:
-            for key in poly.terms:
-                if key not in keys:
-                    keys[key] = len(keys)
-        coeff = np.zeros((flat.size, max(len(keys), 1)))
-        for e, poly in enumerate(flat):
-            for key, c in poly.terms.items():
-                coeff[e, keys[key]] = c
-        alphas = np.zeros((max(len(keys), 1), self.n), dtype=int)
-        betas = np.zeros(max(len(keys), 1))
-        for (alpha, beta), m in keys.items():
-            alphas[m] = alpha
-            betas[m] = beta
-        rbetas, rslot = np.unique(betas, return_inverse=True)
-        self._compiled = (coeff, alphas, rbetas, rslot, len(keys))
-        return self._compiled
+        d_k (x^a r^b) = a_k x^(a - e_k) r^b + b x^(a + e_k) r^(b - 2), so each
+        column m yields a lowered and a raised candidate per axis k.  Equal
+        monomials are merged; one entry receives at most two candidates per
+        monomial, so the sum does not depend on their order.  The merged
+        columns are ordered by their first nonzero occurrence over (entry,
+        m, lowered before raised), the order in which a term-by-term
+        derivative would first meet them, so that the evaluation matmul sums
+        in that order too.
+        """
+        if self._deriv is None:
+            n, (E, M) = self.n, self.coeff.shape
+            # candidate (k, m, s): s = 0 lowers alpha_k, s = 1 raises it, and
+            # its factor is alpha_k or beta; a zero factor makes no term
+            factor = np.stack([self.alphas.T, np.broadcast_to(self.betas, (n, M))], axis=2)
+            k, m, s = np.nonzero(factor)
+            alphas = self.alphas[m]
+            alphas[np.arange(len(k)), k] += 2 * s - 1
+            keys, slot = np.unique(np.column_stack([alphas, self.betas[m] - 2.0 * s]),
+                                   axis=0, return_inverse=True)
+            key = np.zeros(factor.shape, dtype=int)
+            key[k, m, s] = slot.reshape(-1)
+            # every term of every entry (k, e) of the gradient, in the order
+            # (k, e, m, s), and the (entry, monomial) pair it adds into
+            k, e, m, s = np.nonzero((factor != 0)[:, None] & (self.coeff != 0)[..., None])
+            col = key[k, m, s]
+            pairs, pair = np.unique((k * E + e) * len(keys) + col, return_inverse=True)
+            merged = np.zeros(len(pairs))
+            np.add.at(merged, pair, self.coeff[e, m] * factor[k, m, s])
+            # keep the monomials that are nonzero somewhere, each at the first
+            # term that names it in an entry where it is nonzero
+            cols, at = np.unique(col[merged[pair] != 0], return_index=True)
+            cols = cols[np.argsort(at)]
+            place = np.zeros(len(keys), dtype=int)
+            place[cols] = np.arange(len(cols))
+            coeff = np.zeros((n * E, len(cols)))
+            live = merged != 0
+            row, col = np.divmod(pairs[live], len(keys))
+            coeff[row, place[col]] = merged[live]
+            self._deriv = TensorRadialPoly(n, (n,) + self.shape, keys[cols, :n],
+                                           keys[cols, n], coeff)
+        return self._deriv
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return eval_polys([self], x)[0]
@@ -169,8 +131,11 @@ def eval_polys(polys, x: np.ndarray) -> list[np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     batch = x.shape[:-1]
-    compiled = [T._compiled or T._compile() for T in polys]
-    live = [c for c in compiled if c[4]]
+    for T in polys:
+        if x.shape[-1] != T.n:
+            raise ValueError(f"expected points with {T.n} coordinates, "
+                             f"got shape {x.shape}")
+    live = [T for T in polys if len(T.betas)]
     if live:
         ones = np.ones(x[..., 0].size)
         # powers[i][a] = x_i ** a, with the numpy-integer exponents that
@@ -178,27 +143,27 @@ def eval_polys(polys, x: np.ndarray) -> list[np.ndarray]:
         # is the pow call a monomial-by-monomial evaluation makes (numpy may
         # take another pow for a 0-d array than for a 1-d one) and the
         # results stay bit-identical; each power is then one flat row
-        top = np.max([c[1].max(axis=0) for c in live], axis=0)
+        top = np.max([T.alphas.max(axis=0) for T in live], axis=0)
         powers = [np.stack([ones] + [(x[..., i] ** a).reshape(-1)
                                      for a in np.arange(1, top[i] + 1)])
                   for i in range(x.shape[-1])]
-        betas = np.array(sorted({b for c in live for b in c[2]}))
+        betas = np.array(sorted({b for T in live for b in T.betas}))
         r = np.linalg.norm(x, axis=-1)
         radial = np.stack([ones if b == 0.0 else (r ** b).reshape(-1) for b in betas])
     out = []
-    for T, (coeff, alphas, rbetas, rslot, nkeys) in zip(polys, compiled):
-        if nkeys == 0:
+    for T in polys:
+        if not len(T.betas):
             out.append(np.zeros(batch + T.shape))
             continue
         # one contiguous row per monomial and factor, multiplied over i and
         # then laid out C-ordered (nodes, monomials), which the matmul below
         # needs to sum in the same order as a built-up table
-        mono = powers[0][alphas[:, 0]]
+        mono = powers[0][T.alphas[:, 0]]
         for i in range(1, len(powers)):
-            mono *= powers[i][alphas[:, i]]
-        mono *= radial[np.searchsorted(betas, rbetas)[rslot]]
-        mono = np.ascontiguousarray(mono.T).reshape(batch + (len(alphas),))
-        out.append((mono @ coeff.T).reshape(batch + T.shape))
+            mono *= powers[i][T.alphas[:, i]]
+        mono *= radial[np.searchsorted(betas, T.betas)]
+        mono = np.ascontiguousarray(mono.T).reshape(batch + (len(T.betas),))
+        out.append((mono @ T.coeff.T).reshape(batch + T.shape))
     return out
 
 
@@ -379,21 +344,18 @@ class _RadialPolyMetric(MetricField):
         self.tau = tau
         self.r_min = r_min
         self._e = e
-        self._e1 = e.deriv()
-        self._e2 = self._e1.deriv()
-        self._e3 = self._e2.deriv()
 
     def eval(self, x):
         return np.eye(self.n) + self._e(x)
 
     def d1(self, x):
-        return self._e1(x)
+        return self._e.deriv()(x)
 
     def d2(self, x):
-        return self._e2(x)
+        return self._e.deriv().deriv()(x)
 
     def d3(self, x):
-        return self._e3(x)
+        return self._e.deriv().deriv().deriv()(x)
 
 
 class RTPerturbationMetric(_RadialPolyMetric):
@@ -411,16 +373,16 @@ class RTPerturbationMetric(_RadialPolyMetric):
         if parity not in ("even", "odd", "mixed"):
             raise ValueError("parity must be 'even', 'odd', or 'mixed'")
         rng = np.random.default_rng(seed)
-        zero = RadialPoly.zero(n)
-        e = np.full((n, n), zero, dtype=object)
+        # e = sum over monomials m of mats[m] * c_m x^alphas[m] r^betas[m];
+        # the monomials of the separate terms below are all distinct
+        alphas, betas, cols = [], [], []
+        unit = np.eye(n, dtype=int)
 
-        def add_sym(mat, poly):
-            nonlocal e
-            out = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    out[i, j] = e[i, j] + (float(mat[i, j]) * poly)
-            e = out
+        def add_sym(mat, monomials):
+            for alpha, beta, c in monomials:
+                alphas.append(alpha)
+                betas.append(beta)
+                cols.append(mat.reshape(-1) * c)
 
         def sym(scale=1.0):
             A = rng.standard_normal((n, n))
@@ -430,26 +392,20 @@ class RTPerturbationMetric(_RadialPolyMetric):
             # x_a x_b (a != b) and x_a^2 - x_b^2 are harmonic of degree 2
             a, b = rng.choice(n, size=2, replace=False)
             if rng.random() < 0.5:
-                al = [0] * n
-                al[a], al[b] = 1, 1
-                return RadialPoly.monomial(n, al, beta)
-            al1, al2 = [0] * n, [0] * n
-            al1[a], al2[b] = 2, 2
-            return (RadialPoly.monomial(n, al1, beta)
-                    + RadialPoly.monomial(n, al2, beta) * -1.0)
+                return [(unit[a] + unit[b], beta, 1.0)]
+            return [(2 * unit[a], beta, 1.0), (2 * unit[b], beta, -1.0)]
 
         if parity in ("even", "mixed"):
-            add_sym(sym(amplitude), RadialPoly.monomial(n, (0,) * n, -tau))
+            add_sym(sym(amplitude), [(0 * unit[0], -tau, 1.0)])
             add_sym(sym(0.5 * amplitude), harmonic_quadratic(-tau - 2.0))
         odd_order = tau if parity == "odd" else tau + 1.0
         if parity in ("odd", "mixed"):
             A = sym(amplitude if parity == "odd" else 0.5 * amplitude)
             a = int(rng.integers(n))
-            al = [0] * n
-            al[a] = 1
-            add_sym(A, RadialPoly.monomial(n, al, -odd_order - 1.0))
+            add_sym(A, [(unit[a], -odd_order - 1.0, 1.0)])
 
-        super().__init__(n, TensorRadialPoly(n, e), tau, r_min)
+        e = TensorRadialPoly(n, (n, n), alphas, betas, np.stack(cols, axis=1))
+        super().__init__(n, e, tau, r_min)
         self.parity = parity
         # positivity on a sample grid
         rng2 = np.random.default_rng(seed + 1)
@@ -459,83 +415,6 @@ class RTPerturbationMetric(_RadialPolyMetric):
         w = np.linalg.eigvalsh(self.eval(pts))
         if np.any(w <= 0):
             raise ValueError("perturbation amplitude too large: metric not positive-definite")
-
-
-class FDMetric(MetricField):
-    """Finite-difference derivative wrapper around a pointwise metric evaluator.
-
-    Central differences of order 2 or 4 with step h = h0 * max(1, |x|), fixed
-    at the base point so the relative truncation error is uniform in radius.
-    """
-
-    _STENCILS = {
-        2: ((-1, 1), (-0.5, 0.5)),
-        4: ((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12)),
-    }
-
-    def __init__(self, f, n: int, order: int = 4, h0: float = 1e-2,
-                 tau: float = 1.0, r_min: float = 2.0):
-        if order not in self._STENCILS:
-            raise ValueError("order must be 2 or 4")
-        if h0 <= 0:
-            raise ValueError("step underflow: h0 must be positive")
-        self.f = f
-        self.n = n
-        self.order = order
-        self.h0 = h0
-        self.tau = tau
-        self.r_min = r_min
-
-    def eval(self, x):
-        return np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
-
-    def _diff(self, x: np.ndarray, dirs: tuple[int, ...]) -> np.ndarray:
-        """Nested central differences along the (ordered) directions `dirs`."""
-        x = np.asarray(x, dtype=float)
-        h = self.h0 * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-
-        def rec(pt, remaining):
-            if not remaining:
-                return self.eval(pt)
-            k = remaining[0]
-            offsets, weights = self._STENCILS[self.order]
-            acc = None
-            for off, wgt in zip(offsets, weights):
-                shifted = pt.copy()
-                shifted[..., k] = shifted[..., k] + off * h
-                val = rec(shifted, remaining[1:]) * (wgt / h)[..., None, None]
-                acc = val if acc is None else acc + val
-            return acc
-
-        return rec(x, dirs)
-
-    def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.n,) * 3)
-        for k in range(self.n):
-            out[..., k, :, :] = self._diff(x, (k,))
-        return out
-
-    def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.n,) * 4)
-        for k in range(self.n):
-            for l in range(k, self.n):
-                val = self._diff(x, (k, l))
-                out[..., k, l, :, :] = val
-                out[..., l, k, :, :] = val
-        return out
-
-    def d3(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.n,) * 5)
-        for k in range(self.n):
-            for l in range(k, self.n):
-                for m in range(l, self.n):
-                    val = self._diff(x, (k, l, m))
-                    for perm in set(itertools.permutations((k, l, m))):
-                        out[..., perm[0], perm[1], perm[2], :, :] = val
-        return out
 
 
 # convenience constructors ---------------------------------------------------
@@ -548,6 +427,3 @@ def make_rt_perturbation(n: int, tau: float, seed: int = 0, parity: str = "even"
                          amplitude: float = 0.01) -> RTPerturbationMetric:
     return RTPerturbationMetric(n, tau, seed=seed, parity=parity, amplitude=amplitude)
 
-
-def fd_wrap(f, n: int, order: int = 4, h0: float = 1e-2, **kwargs) -> FDMetric:
-    return FDMetric(f, n, order=order, h0=h0, **kwargs)

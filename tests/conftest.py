@@ -4,7 +4,12 @@ import numpy as np
 
 from asymflat.chartchange import make_diffeo, pullback_metric, zeta_harmonic
 from asymflat.curvature import _christoffel_from_jets
-from asymflat.fields import MetricField, make_rt_perturbation, make_schwarzschild
+from asymflat.fields import (
+    MetricField,
+    TensorRadialPoly,
+    make_rt_perturbation,
+    make_schwarzschild,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +197,143 @@ class CountingMetric(MetricField):
 
     def d3(self, x):
         return self._call("d3", x)
+
+
+# ---------------------------------------------------------------------------
+# term-by-term radial polynomial reference: one dict of (alpha, beta) -> c per
+# tensor entry, derived entry by entry and axis by axis, then compiled into
+# the (alphas, betas, coeff) table in first-seen monomial order
+# ---------------------------------------------------------------------------
+
+class RadialPoly:
+    """Finite sums  c * x^alpha * |x|^beta  (beta real) as a dict of terms."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: dict | None = None):
+        self.n = n
+        # dict keys are already unique: only the zero coefficients go
+        self.terms = {key: c for key, c in terms.items() if c != 0.0} if terms else {}
+
+    @classmethod
+    def monomial(cls, n: int, alpha, beta: float, coeff: float = 1.0) -> "RadialPoly":
+        return cls(n, {(tuple(alpha), float(beta)): coeff})
+
+    @classmethod
+    def zero(cls, n: int) -> "RadialPoly":
+        return cls(n)
+
+    def __add__(self, other: "RadialPoly") -> "RadialPoly":
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0.0) + c
+        return RadialPoly(self.n, out)
+
+    def deriv(self, i: int) -> "RadialPoly":
+        out: dict = {}
+        for (alpha, beta), c in self.terms.items():
+            if alpha[i] > 0:
+                a = list(alpha)
+                a[i] -= 1
+                key = (tuple(a), beta)
+                out[key] = out.get(key, 0.0) + c * alpha[i]
+            if beta != 0.0:
+                a = list(alpha)
+                a[i] += 1
+                key = (tuple(a), beta - 2.0)
+                out[key] = out.get(key, 0.0) + c * beta
+        return RadialPoly(self.n, out)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1)
+        out = np.zeros(x.shape[:-1])
+        for (alpha, beta), c in self.terms.items():
+            term = np.full(x.shape[:-1], c)
+            for i, a in enumerate(alpha):
+                if a:
+                    term = term * x[..., i] ** a
+            if beta != 0.0:
+                term = term * r**beta
+            out = out + term
+        return out
+
+
+def accumulated_terms(terms):
+    """The constructor before it relied on dict keys being unique: every
+    coefficient was added into a fresh dict."""
+    out = {}
+    for key, c in terms.items():
+        if c != 0.0:
+            out[key] = out.get(key, 0.0) + c
+    return out
+
+
+def reference_deriv(terms, i):
+    """d_i of a dict of terms, written out without `RadialPoly`."""
+    out = {}
+    for (alpha, beta), c in terms.items():
+        if alpha[i] > 0:
+            a = list(alpha)
+            a[i] -= 1
+            key = (tuple(a), beta)
+            out[key] = out.get(key, 0.0) + c * alpha[i]
+        if beta != 0.0:
+            a = list(alpha)
+            a[i] += 1
+            key = (tuple(a), beta - 2.0)
+            out[key] = out.get(key, 0.0) + c * beta
+    return accumulated_terms(out)
+
+
+def reference_terms(T: TensorRadialPoly) -> np.ndarray:
+    """The object array of RadialPolys that the table T holds."""
+    arr = np.empty(T.shape, dtype=object)
+    flat = arr.reshape(-1)
+    for e, row in enumerate(T.coeff):
+        flat[e] = RadialPoly(T.n, {(tuple(int(a) for a in alpha), float(beta)): float(c)
+                                   for alpha, beta, c in zip(T.alphas, T.betas, row)})
+    return arr
+
+
+def reference_deriv_array(arr: np.ndarray, n: int) -> np.ndarray:
+    """Gradient of an object array of RadialPolys: new leading axis of length n."""
+    out = np.empty((n,) + arr.shape, dtype=object)
+    for k in range(n):
+        for idx in np.ndindex(arr.shape):
+            out[(k,) + idx] = arr[idx].deriv(k)
+    return out
+
+
+def compile_terms(arr: np.ndarray, n: int):
+    """(alphas, betas, coeff) of an object array of RadialPolys, with the
+    monomial columns in the order the entries first name them."""
+    keys: dict = {}
+    flat = arr.reshape(-1)
+    for poly in flat:
+        for key in poly.terms:
+            keys.setdefault(key, len(keys))
+    coeff = np.zeros((flat.size, len(keys)))
+    for e, poly in enumerate(flat):
+        for key, c in poly.terms.items():
+            coeff[e, keys[key]] = c
+    alphas = np.zeros((len(keys), n), dtype=int)
+    betas = np.zeros(len(keys))
+    for (alpha, beta), m in keys.items():
+        alphas[m] = alpha
+        betas[m] = beta
+    return alphas, betas, coeff
+
+
+def reference_deriv_table(T: TensorRadialPoly) -> TensorRadialPoly:
+    """T.deriv() rebuilt term by term, as a new table."""
+    arr = reference_deriv_array(reference_terms(T), T.n)
+    return TensorRadialPoly(T.n, arr.shape, *compile_terms(arr, T.n))
+
+
+def derived_depth(T: TensorRadialPoly) -> int:
+    """How many derivative orders of T have been built so far."""
+    depth = 0
+    while T._deriv is not None:
+        T, depth = T._deriv, depth + 1
+    return depth

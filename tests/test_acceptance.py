@@ -32,7 +32,6 @@ from asymflat.curvature import (
 )
 from asymflat.dforms import PointMetric, bianchi, contract, inner, transpose
 from asymflat.fields import (
-    RadialPoly,
     TensorRadialPoly,
     make_rt_perturbation,
     make_schwarzschild,
@@ -145,19 +144,14 @@ def test_criterion_05_flat_engine_identities():
     n = 4
     rng = np.random.default_rng(3)
     # random polynomial vector field zeta with exact derivatives
-    arr = np.empty((n,), dtype=object)
     monos = [(0,) * n]
     for i in range(n):
         for d in (1, 2, 3):
             alpha = [0] * n
             alpha[i] = d
             monos.append(tuple(alpha))
-    for j in range(n):
-        poly = RadialPoly.zero(n)
-        for alpha in monos:
-            poly = poly + RadialPoly.monomial(n, alpha, 0.0, rng.standard_normal())
-        arr[j] = poly
-    zeta = TensorRadialPoly(n, arr)
+    zeta = TensorRadialPoly(n, (n,), monos, np.zeros(len(monos)),
+                            rng.standard_normal((n, len(monos))))
     z1 = zeta.deriv()
     z2 = z1.deriv()
     z3 = z2.deriv()

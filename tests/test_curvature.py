@@ -44,7 +44,6 @@ from asymflat.dforms import (
 )
 from asymflat.fields import (
     EuclideanMetric,
-    RadialPoly,
     TensorRadialPoly,
     make_rt_perturbation,
     make_schwarzschild,
@@ -219,11 +218,9 @@ def test_ext_deriv_flat_squares_to_zero():
 def test_ext_deriv_gradient_of_scalar():
     # D of a (0,0) field is minus the gradient packed as a (1,0) form
     n = 3
-    from asymflat.fields import RadialPoly, TensorRadialPoly
-    poly = RadialPoly.monomial(n, (1, 1, 0), 0.0)
-    arr = np.empty((1, 1), dtype=object)
-    arr[0, 0] = poly
-    F = PolynomialDoubleFormField(n, 0, 0, TensorRadialPoly(n, arr))
+    # x0 x1
+    F = PolynomialDoubleFormField(n, 0, 0, TensorRadialPoly(n, (1, 1), [[1, 1, 0]], [0.0],
+                                                            [[1.0]]))
     x = np.array([2.0, 3.0, -1.0])
     D = ext_deriv(F, x, "left")
     grad = np.array([x[1], x[0], 0.0])
@@ -235,12 +232,9 @@ def test_codiff_is_adjoint_to_ext_deriv_flat():
     # adjointness does not hold, so verify the composition identity instead:
     # delta on a gradient gives minus the Laplacian of the potential
     n = 3
-    from asymflat.fields import RadialPoly, TensorRadialPoly
-    poly = (RadialPoly.monomial(n, (2, 0, 0), 0.0)
-            + RadialPoly.monomial(n, (0, 3, 0), 0.0))
-    arr = np.empty((1, 1), dtype=object)
-    arr[0, 0] = poly
-    F = PolynomialDoubleFormField(n, 0, 0, TensorRadialPoly(n, arr))
+    # x0^2 + x1^3
+    F = PolynomialDoubleFormField(n, 0, 0, TensorRadialPoly(n, (1, 1), [[2, 0, 0], [0, 3, 0]],
+                                                            [0.0, 0.0], [[1.0, 1.0]]))
     trp1 = F.trp.deriv()
     trp2 = trp1.deriv()
 
@@ -357,11 +351,10 @@ def test_curved_second_jet_level_matches_loop():
 ], ids=["rt", "schwarzschild"])
 def test_curved_codiff_of_gradient_is_laplace_beltrami(g):
     n = 3
-    f = (RadialPoly.monomial(n, (2, 0, 0), 0.0) + RadialPoly.monomial(n, (0, 3, 0), 0.0)
-         + RadialPoly.monomial(n, (1, 0, 1), 0.0, -2.0))
-    arr = np.empty((1, 1), dtype=object)
-    arr[0, 0] = f
-    trp1 = TensorRadialPoly(n, arr).deriv()
+    # f = x0^2 + x1^3 - 2 x0 x2
+    f = TensorRadialPoly(n, (1, 1), [[2, 0, 0], [0, 3, 0], [1, 0, 1]], [0.0, 0.0, 0.0],
+                         [[1.0, 1.0, -2.0]])
+    trp1 = f.deriv()
     trp2 = trp1.deriv()
     df = DoubleFormField(n, 1, 0, lambda y: trp1(y)[..., :, :, 0],
                          lambda y: trp2(y)[..., :, :, :, 0])

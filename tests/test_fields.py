@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
 
+from asymflat.chartchange import zeta_harmonic, zeta_radial
+from asymflat.curvature import PolynomialDoubleFormField
 from asymflat.fields import (
     ChartError,
     EuclideanMetric,
-    RadialPoly,
     TensorRadialPoly,
     eval_polys,
-    fd_wrap,
     make_rt_perturbation,
     make_schwarzschild,
+)
+
+from conftest import (
+    RadialPoly,
+    accumulated_terms,
+    compile_terms,
+    derived_depth,
+    reference_deriv,
+    reference_deriv_array,
+    reference_terms,
 )
 
 
@@ -40,23 +50,22 @@ def fd_check(g, x, h=1e-5):
 def test_radial_poly_derivative_exactness():
     n = 3
     # f = x0^2 |x|^-3
-    f = RadialPoly.monomial(n, (2, 0, 0), -3.0)
-    fx = f.deriv(0)
+    f = TensorRadialPoly(n, (), [[2, 0, 0]], [-3.0], [[1.0]])
     x = np.array([1.2, -0.7, 2.1])
+    fx = f.deriv()(x)[0]
     h = 1e-6
     xp, xm = x.copy(), x.copy()
     xp[0] += h
     xm[0] -= h
-    assert np.isclose(fx(x), (f(xp) - f(xm)) / (2 * h), rtol=1e-7)
+    assert np.isclose(fx, (f(xp) - f(xm)) / (2 * h), rtol=1e-7)
 
 
 def test_tensor_radial_poly_matches_scalar_eval():
     n = 3
-    polys = [[RadialPoly.monomial(n, (1, 0, 0), -2.0), RadialPoly.zero(n)],
-             [RadialPoly.zero(n), RadialPoly.monomial(n, (0, 0, 0), -1.0)]]
-    arr = np.empty((2, 2), dtype=object)
-    arr[:] = polys
-    T = TensorRadialPoly(n, arr)
+    # [[x0 |x|^-2, 0], [0, |x|^-1]]
+    T = TensorRadialPoly(n, (2, 2), [[1, 0, 0], [0, 0, 0]], [-2.0, -1.0],
+                         [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    arr = reference_terms(T)
     x = np.random.default_rng(0).standard_normal((5, n)) + 3.0
     vals = T(x)
     assert vals.shape == (5, 2, 2)
@@ -157,31 +166,13 @@ def test_rt_perturbation_decay():
     assert abs(rate - 1.5) < 0.1
 
 
-def test_fd_wrap_matches_exact():
-    exact = make_schwarzschild(3, 1, 1.0)
-    fd = fd_wrap(exact.eval, 3, order=4, h0=1e-2, tau=1.0, r_min=exact.r_min)
-    x = np.array([6.0, -2.0, 3.0])
-    assert np.allclose(fd.eval(x), exact.eval(x))
-    assert np.abs(fd.d1(x) - exact.d1(x)).max() < 1e-8
-    assert np.abs(fd.d2(x) - exact.d2(x)).max() < 1e-6
-    assert np.abs(fd.d3(x) - exact.d3(x)).max() < 1e-4
-
-
-def test_fd_wrap_rejects_bad_args():
-    with pytest.raises(ValueError):
-        fd_wrap(lambda x: np.eye(3), 3, order=3)
-    with pytest.raises(ValueError):
-        fd_wrap(lambda x: np.eye(3), 3, h0=0.0)
-
-
 def _per_monomial_eval(T, x):
     """The monomial-by-monomial evaluation the power table replaced, kept as
     the reference it must match bit for bit."""
-    coeff, alphas, rbetas, rslot, nkeys = T._compiled or T._compile()
-    betas = rbetas[rslot]
+    coeff, alphas, betas = T.coeff, T.alphas, T.betas
     x = np.asarray(x, dtype=float)
     batch = x.shape[:-1]
-    if nkeys == 0:
+    if len(betas) == 0:
         return np.zeros(batch + T.shape)
     r = np.linalg.norm(x, axis=-1)
     mono = np.empty(batch + (coeff.shape[1],))
@@ -197,10 +188,15 @@ def _per_monomial_eval(T, x):
     return (mono @ coeff.T).reshape(batch + T.shape)
 
 
-def _table_cases():
-    from asymflat.chartchange import zeta_harmonic, zeta_radial
-    from asymflat.curvature import PolynomialDoubleFormField
+def _no_terms():
+    return TensorRadialPoly(3, (2, 3), np.zeros((0, 3)), np.zeros(0), np.zeros((6, 0)))
 
+
+def _constant_monomials():
+    return TensorRadialPoly(3, (2,), [[0, 0, 0]], [0.0], [[1.5], [-0.25]])
+
+
+def _table_cases():
     for n in (3, 4, 5):
         for zeta in (zeta_harmonic(n, 0.2, 1.6), zeta_radial(n, 0.3, 0.7)):
             for order in range(4):
@@ -209,13 +205,8 @@ def _table_cases():
     for parity in ("even", "odd", "mixed"):
         yield f"rt e {parity}", make_rt_perturbation(4, 1.5, seed=3, parity=parity)._e
     yield "polynomial form", PolynomialDoubleFormField.random(4, 2, 1, seed=5).trp
-    arr = np.empty((2, 3), dtype=object)
-    arr[:] = [[RadialPoly.zero(3)] * 3] * 2
-    yield "no terms", TensorRadialPoly(3, arr)
-    arr = np.empty((2,), dtype=object)
-    arr[:] = [RadialPoly.monomial(3, (0, 0, 0), 0.0, 1.5),
-              RadialPoly.monomial(3, (0, 0, 0), 0.0, -0.25)]
-    yield "constant monomials", TensorRadialPoly(3, arr)
+    yield "no terms", _no_terms()
+    yield "constant monomials", _constant_monomials()
 
 
 def test_table_evaluation_is_bit_identical_to_per_monomial_loop():
@@ -242,52 +233,83 @@ def test_shared_power_table_is_bit_identical_per_polynomial():
                 assert np.array_equal(got, _per_monomial_eval(T, x)), (name, batch)
 
 
-def accumulated_terms(terms):
-    """The constructor before it relied on dict keys being unique: every
-    coefficient was added into a fresh dict."""
-    out = {}
-    for key, c in terms.items():
-        if c != 0.0:
-            out[key] = out.get(key, 0.0) + c
-    return out
+def _deriv_cases():
+    """Each case with the number of derivative orders to compare (fewer at
+    large n, where the term-by-term reference takes seconds)."""
+    for n in range(3, 9):
+        yield f"harmonic zeta n={n}", zeta_harmonic(n, 0.2, 1.6), 4 if n <= 5 else 3
+        yield f"radial zeta n={n}", zeta_radial(n, 0.3, 0.7), 4 if n <= 5 else 3
+        for parity in ("even", "odd", "mixed"):
+            rt = make_rt_perturbation(n, 1.5, seed=n, parity=parity)._e
+            yield f"rt {parity} n={n}", rt, 3 if n <= 6 else 2
+        for p, q in ((1, 0), (1, 1), (2, 1)):
+            F = PolynomialDoubleFormField.random(n, p, q, seed=n + p + q)
+            yield f"random ({p},{q}) n={n}", F.trp, 2
+    yield "no terms", _no_terms(), 1
+    yield "constant monomials", _constant_monomials(), 1
 
 
-def reference_deriv(terms, i):
-    out = {}
-    for (alpha, beta), c in terms.items():
-        if alpha[i] > 0:
-            a = list(alpha)
-            a[i] -= 1
-            key = (tuple(a), beta)
-            out[key] = out.get(key, 0.0) + c * alpha[i]
-        if beta != 0.0:
-            a = list(alpha)
-            a[i] += 1
-            key = (tuple(a), beta - 2.0)
-            out[key] = out.get(key, 0.0) + c * beta
-    return accumulated_terms(out)
+def test_table_deriv_equals_the_compiled_reference():
+    # the table derivative against the term-by-term one compiled into a
+    # table: same monomials, same column order, same coefficient bits
+    for name, T, depth in _deriv_cases():
+        arr = reference_terms(T)
+        assert all(np.array_equal(a, b) for a, b in zip(compile_terms(arr, T.n),
+                                                        (T.alphas, T.betas, T.coeff))), name
+        for order in range(1, depth + 1):
+            for poly in arr.reshape(-1):
+                assert list(poly.terms.items()) == list(accumulated_terms(poly.terms).items())
+                for i in range(T.n):
+                    got = list(poly.deriv(i).terms.items())
+                    assert got == list(reference_deriv(poly.terms, i).items()), (name, i)
+            arr = reference_deriv_array(arr, T.n)
+            T = T.deriv()
+            ref = compile_terms(arr, T.n)
+            assert T.shape == arr.shape, (name, order)
+            for got, want in zip((T.alphas, T.betas, T.coeff), ref):
+                assert got.dtype == want.dtype, (name, order)
+                assert np.array_equal(got, want), (name, order)
+    # constants differentiate to the table with no monomials
+    assert _constant_monomials().deriv().coeff.shape == (6, 0)
+    assert _no_terms().deriv().alphas.shape == (0, 3)
 
 
-def test_radial_poly_terms_equal_the_accumulating_constructor():
-    # zeta orders 0-3 (chartchange), RT perturbations (fields) and a random
-    # polynomial double form (curvature): same keys, order and coefficients
-    for name, T in _table_cases():
-        for poly in T.arr.reshape(-1):
-            assert list(poly.terms.items()) == list(accumulated_terms(poly.terms).items())
-            for i in range(T.n):
-                got = list(poly.deriv(i).terms.items())
-                assert got == list(reference_deriv(poly.terms, i).items()), (name, i)
+def test_rt_metric_derives_once_and_only_as_deep_as_read():
+    g = make_rt_perturbation(4, 1.5, seed=1, parity="mixed")
+    assert derived_depth(g._e) == 0
+    x = np.array([[3.0, -1.0, 2.0, 0.5]])
+    g.d2(x)
+    assert derived_depth(g._e) == 2
+    first = g._e.deriv()
+    g.d1(x)
+    assert g._e.deriv() is first and derived_depth(g._e) == 2
+
+
+def test_evaluation_rejects_the_wrong_number_of_coordinates():
+    zeta = zeta_harmonic(4, 0.2, 1.6)
+    g = make_rt_perturbation(4, 1.5)
+    for m in (3, 5):
+        x = 5.0 * np.ones((2, m))
+        with pytest.raises(ValueError, match="4 coordinates"):
+            zeta(x)
+        with pytest.raises(ValueError, match="4 coordinates"):
+            eval_polys([zeta, zeta.deriv()], x)
+        for f in (g.eval, g.d1, g.d2, g.d3):
+            with pytest.raises(ValueError, match="4 coordinates"):
+                f(x)
 
 
 def test_random_polynomial_field_equals_its_monomial_sum():
-    from asymflat.curvature import PolynomialDoubleFormField
-
     for n, p, q, degree in ((3, 1, 0, 2), (4, 2, 1, 2), (5, 1, 2, 3)):
         F = PolynomialDoubleFormField.random(n, p, q, seed=5, degree=degree)
         rng = np.random.default_rng(5)
-        keys = list(F.trp.arr.flat[0].terms)  # the monomials in draw order
-        for poly in F.trp.arr.flat:
+        keys = [(tuple(int(a) for a in alpha), float(beta))  # the monomials in draw order
+                for alpha, beta in zip(F.trp.alphas, F.trp.betas)]
+        arr = np.empty(F.trp.shape, dtype=object)
+        for idx in np.ndindex(arr.shape):
             ref = RadialPoly.zero(n)
             for alpha, beta in keys:
                 ref = ref + RadialPoly.monomial(n, alpha, beta, rng.standard_normal())
-            assert list(poly.terms.items()) == list(ref.terms.items())
+            arr[idx] = ref
+        for got, want in zip((F.trp.alphas, F.trp.betas, F.trp.coeff), compile_terms(arr, n)):
+            assert np.array_equal(got, want)
