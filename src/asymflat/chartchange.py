@@ -5,16 +5,17 @@ A is a Euclidean isometry (orthogonal matrix plus translation) and
 S(x) = x + zeta(x) with a decaying vector field zeta.  The pullback metric
 carries derivatives to order three computed by exact chain rule from the
 polynomial derivatives of zeta; no finite differencing enters, because the
-invariance differences being measured are small.  `Diffeo` derives zeta
-one order at a time, the first time that order is asked for, so a pullback
-read to order k builds zeta only to order k + 1 (a k = 1 mass never builds
-order 3 or above).  `PullbackMetric.jet` builds every asked order in one
-pass over a flat batch: zeta and its derivatives come from one shared
-table of coordinate powers (`fields.eval_polys`), each derivative of Phi is
-one matmul with Q^T, the base metric is read through one `jet` call at
-Phi(x), and the Faa di Bruno and Leibniz expansions of Phi* g = J G J^T are
-batched matmuls on C-contiguous operands, one per slot count and mirror
-pair (`_compose_jets`, `_leibniz`); `eval`/`d1`/`d2`/`d3` are its levels.
+invariance differences being measured are small.  `Diffeo` reads zeta
+through `TensorRadialPoly.jet`, which derives one order at a time, the
+first time that order is asked for, so a pullback read to order k builds
+zeta only to order k + 1 (a k = 1 mass never builds order 3 or above).
+`PullbackMetric.jet` builds every asked order in one pass over a flat
+batch: zeta and its derivatives come from one shared table of coordinate
+powers, each derivative of Phi is one matmul with Q^T, the base metric is
+read through one `jet` call at Phi(x), and the Faa di Bruno and Leibniz
+expansions of Phi* g = J G J^T are batched matmuls on C-contiguous
+operands, one per slot count and mirror pair (`_compose_jets`,
+`_leibniz`); `eval`/`d1`/`d2`/`d3` are its levels.
 The one-einsum-per-term expansion stays in `tests/conftest.py` as the dense
 reference.
 """
@@ -26,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .fields import ChartError, MetricField, TensorRadialPoly, eval_polys
+from .fields import ChartError, MetricField, TensorRadialPoly
 from .gbc import GBCContext
 from .invariants import (
     InvariantResult,
@@ -42,7 +43,6 @@ __all__ = [
     "zeta_radial",
     "zeta_harmonic",
     "pullback_metric",
-    "lie_deviation",
     "invariance_report",
 ]
 
@@ -90,22 +90,13 @@ class Diffeo:
             self.zeta = TensorRadialPoly(n, (n,), np.zeros((0, n)), np.zeros(0),
                                          np.zeros((n, 0)))
 
-    def _polys(self, order: int) -> list[TensorRadialPoly]:
-        """[zeta, d zeta, ..., d^order zeta]; each derivative is built the
-        first time it is asked for (`TensorRadialPoly.deriv`), so a pullback
-        read to order k never builds zeta past k + 1."""
-        polys = [self.zeta]
-        while len(polys) <= order:
-            polys.append(polys[-1].deriv())
-        return polys
-
     def zeta_jet(self, x: np.ndarray, order: int) -> np.ndarray:
         """order-th partial-derivative array of zeta (derivative axes lead)."""
-        return self._polys(order)[order](x)
+        return self.zeta.jet(x, order)[order]
 
     def zeta_jets(self, x: np.ndarray, order: int) -> list[np.ndarray]:
         """[zeta_jet(x, m) for m = 0..order] from one shared power table."""
-        return eval_polys(self._polys(order), x)
+        return self.zeta.jet(x, order)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -352,13 +343,6 @@ class PullbackMetric(MetricField):
 
 def pullback_metric(phi: Diffeo, g: MetricField) -> PullbackMetric:
     return PullbackMetric(phi, g)
-
-
-def lie_deviation(phi: Diffeo, x: np.ndarray) -> np.ndarray:
-    """The symmetrized gradient d zeta + (d zeta)^T, the leading part of
-    Phi* b - b for A = id and small zeta."""
-    z1 = phi.zeta_jet(x, 1)
-    return z1 + np.swapaxes(z1, -1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,9 @@ COMMANDS = {
     "rtcheck": cmd_rtcheck,
 }
 
+# the commands with a per-radius table; the others write JSON only
+CSV_COMMANDS = ("mass", "center", "curvcenter")
+
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
@@ -367,6 +370,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
+        if cfg["format"] == "csv" and args.command not in CSV_COMMANDS:
+            raise ConfigError(f"format: {args.command} writes no CSV table; "
+                              f"use json or both")
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

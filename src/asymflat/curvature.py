@@ -1,9 +1,12 @@
-"""Connection, curvature, and field-level double-form operators.
+"""Curvature, double-form fields and their covariant jets.
 
-Covariant jets are the one derivative path for double-form fields: a jet is
-a list [F, nabla F, nabla nabla F] whose m-th entry carries m leading
-covariant-derivative axes in front of the compressed component axes.
-`jet_from_partials` builds it from plain partials and Christoffel symbols.
+Every field is read through one `jet(x, order)` call that returns the plain
+partials [F, dF, ..., d^order F], with the derivative axes between the batch
+and the component axes: a `MetricField` gives its metric components, and a
+`DoubleFormField` (n, p, q) its compressed (C(n,p), C(n,q)) components.  A
+covariant jet is the list [F, nabla F, nabla nabla F] in the same layout;
+`jet_from_partials` builds it from such a partials list and the Christoffel
+symbols of a metric, or leaves it plain for the flat connection (g None).
 The exterior derivatives insert the last derivative index into a block by
 one signed gather through the shuffle table; the Hodge star
 commutes with the Levi-Civita derivative and the Bianchi maps have constant
@@ -34,18 +37,13 @@ from .dforms import (
     _insert_right,
     derivation_action,
     hodge,
-    metric_form,
-    wedge,
 )
 from .fields import MetricField, TensorRadialPoly
 from .multiindex import eval_cache
 
 __all__ = [
-    "Connection",
     "christoffel",
-    "christoffel_d1",
     "riemann",
-    "riemann_partial_d1",
     "pack_22",
     "DoubleFormField",
     "PolynomialDoubleFormField",
@@ -55,11 +53,9 @@ __all__ = [
     "d_left_comps",
     "d_right_comps",
     "codiff_sign",
-    "jet_wedge",
     "jet_d_left",
     "jet_d_right",
     "jet_hodge",
-    "metric_jet",
     "riemann_jet",
 ]
 
@@ -86,13 +82,9 @@ def _christoffel_from_jets(G: np.ndarray, d1: np.ndarray) -> np.ndarray:
     return np.einsum("...al,...lij->...aij", np.linalg.inv(G), _lowered(d1))
 
 
-def christoffel_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
-    """Partial derivatives d_k Gamma^a_ij, shape (..., k, a, i, j)."""
-    return _christoffel_d1_from_jets(*g.jet(x, 2))
-
-
 def _christoffel_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Christoffel partials from the metric values and first two partials."""
+    """Christoffel partials d_k Gamma^a_ij, shape (..., k, a, i, j), from the
+    metric values and first two partials."""
     Ginv = np.linalg.inv(G)
     dGinv = -np.einsum("...am,...kmn,...nl->...kal", Ginv, d1, Ginv)
     lower = _lowered(d1)
@@ -152,15 +144,10 @@ def riemann(g: MetricField, x: np.ndarray) -> DoubleForm:
     return _riemann_packed(*g.jet(x, 2))
 
 
-def riemann_partial_d1(g: MetricField, x: np.ndarray) -> np.ndarray:
-    """Plain partial derivatives d_m R[i,j,k,l], shape (..., m, n, n, n, n)."""
-    G, d1, d2, d3 = g.jet(x, 3)
-    return _riemann_partial_d1_from_jets(G, d1, d2, d3, _christoffel_from_jets(G, d1))
-
-
 def _riemann_partial_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray,
                                   d3: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    """Riemann partials from the metric jets and the Christoffel symbols gam."""
+    """Plain partials d_m R[i,j,k,l], shape (..., m, n, n, n, n), from the
+    metric jets and the Christoffel symbols gam."""
     dgam = _christoffel_d1_from_jets(G, d1, d2)
     ddd = 0.5 * (np.einsum("...miljk->...mijkl", d3) + np.einsum("...mjkil->...mijkl", d3)
                  - np.einsum("...mikjl->...mijkl", d3) - np.einsum("...mjlik->...mijkl", d3))
@@ -173,50 +160,28 @@ def _riemann_partial_d1_from_jets(G: np.ndarray, d1: np.ndarray, d2: np.ndarray,
     return ddd + quad
 
 
-class Connection:
-    """Flat background connection or the Levi-Civita connection of a metric."""
-
-    def __init__(self, g: MetricField | None = None):
-        self.g = g
-        self.kind = "flat" if g is None else "levi-civita"
-
-    def christoffel(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.g is None:
-            n = x.shape[-1]
-            return np.zeros(x.shape[:-1] + (n,) * 3)
-        return christoffel(self.g, x)
-
-
 # ---------------------------------------------------------------------------
 # double-form fields
 # ---------------------------------------------------------------------------
 
 class DoubleFormField:
-    """A chart-point-to-DoubleForm map with optional partial derivatives.
+    """A (p,q) double-form field, read through `jet`.
 
-    `d1(x)` returns plain partials with one leading derivative axis; `d2(x)`
-    adds a second.  Fields built from closed forms provide these exactly.
+    `jet(x, order)` returns the plain partials [F, dF, ..., d^order F] as
+    component arrays, the m-th with m derivative axes between the batch and
+    the (C(n,p), C(n,q)) component axes; `jet_fn(x, order)` computes them.
+    `eval(x)` is the value alone, as a DoubleForm.
     """
 
-    def __init__(self, n: int, p: int, q: int, eval_fn, d1_fn=None, d2_fn=None):
+    def __init__(self, n: int, p: int, q: int, jet_fn):
         self.n, self.p, self.q = n, p, q
-        self._eval = eval_fn
-        self._d1 = d1_fn
-        self._d2 = d2_fn
+        self._jet = jet_fn
+
+    def jet(self, x: np.ndarray, order: int) -> list[np.ndarray]:
+        return self._jet(np.asarray(x, dtype=float), order)
 
     def eval(self, x: np.ndarray) -> DoubleForm:
-        return DoubleForm(self.n, self.p, self.q, self._eval(np.asarray(x, dtype=float)))
-
-    def d1(self, x: np.ndarray) -> np.ndarray:
-        if self._d1 is None:
-            raise ValueError("field has no derivative evaluator")
-        return self._d1(np.asarray(x, dtype=float))
-
-    def d2(self, x: np.ndarray) -> np.ndarray:
-        if self._d2 is None:
-            raise ValueError("field has no second-derivative evaluator")
-        return self._d2(np.asarray(x, dtype=float))
+        return DoubleForm(self.n, self.p, self.q, self.jet(x, 0)[0])
 
 
 class PolynomialDoubleFormField(DoubleFormField):
@@ -225,7 +190,7 @@ class PolynomialDoubleFormField(DoubleFormField):
     def __init__(self, n: int, p: int, q: int, trp: TensorRadialPoly):
         if trp.shape != (comb(n, p), comb(n, q)):
             raise ValueError("component polynomial array has wrong shape")
-        super().__init__(n, p, q, trp, trp.deriv(), trp.deriv().deriv())
+        super().__init__(n, p, q, trp.jet)
         self.trp = trp
 
     @classmethod
@@ -249,14 +214,12 @@ class PolynomialDoubleFormField(DoubleFormField):
 
 
 def deviation_field(g: MetricField) -> DoubleFormField:
-    """e = g - b as a (1,1) double-form field with exact derivatives."""
-    n = g.n
-    return DoubleFormField(
-        n, 1, 1,
-        lambda x: g.jet(x, 0)[0] - np.eye(n),
-        lambda x: g.jet(x, 1)[1],
-        lambda x: g.jet(x, 2)[2],
-    )
+    """e = g - b as a (1,1) double-form field: one `g.jet` call per read."""
+    def jet(x, order):
+        G, *partials = g.jet(x, order)
+        return [G - np.eye(g.n)] + partials
+
+    return DoubleFormField(g.n, 1, 1, jet)
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +240,6 @@ def d_right_comps(n: int, p: int, q: int, covd: np.ndarray) -> DoubleForm:
     return DoubleForm(n, p, q + 1, _insert_right(n, q, covd))
 
 
-def _cov_d1_comps(comps: np.ndarray, partial: np.ndarray, gamma: np.ndarray | None,
-                  n: int, p: int, q: int) -> np.ndarray:
-    """nabla_k of compressed components from plain partials and Christoffels."""
-    if gamma is None:
-        return partial
-    A = np.moveaxis(gamma, -2, -3)  # A[..., k, m, i] = Gamma^m_{k i}
-    return partial - derivation_action(A, DoubleForm(n, p, q, comps[..., None, :, :])).comps
-
-
-def _first_jet(omega: DoubleFormField, x: np.ndarray, gamma: np.ndarray | None) -> Jet:
-    """Depth-1 covariant jet of a field at x for the Christoffel symbols
-    `gamma` (None: the flat connection)."""
-    return jet_from_partials(omega.n, omega.p, omega.q, omega.eval(x).comps,
-                             omega.d1(x), gamma=gamma)
-
-
 def _jet_d(a: Jet, side: str) -> Jet:
     if side == "left":
         return jet_d_left(a)
@@ -302,11 +249,13 @@ def _jet_d(a: Jet, side: str) -> Jet:
 
 
 def ext_deriv(omega: DoubleFormField, x: np.ndarray, side: str = "left",
-              conn: Connection | None = None) -> DoubleForm:
-    """Exterior derivative of a double-form field at x (left or right)."""
+              g: MetricField | None = None) -> DoubleForm:
+    """Exterior derivative of a double-form field at x (left or right), in
+    the Levi-Civita connection of g (None: the flat connection)."""
     x = np.asarray(x, dtype=float)
-    gamma = None if conn is None or conn.g is None else conn.christoffel(x)
-    return _jet_d(_first_jet(omega, x, gamma), side).form()
+    gamma = None if g is None else christoffel(g, x)
+    jet = jet_from_partials(omega.n, omega.p, omega.q, omega.jet(x, 1), gamma)
+    return _jet_d(jet, side).form()
 
 
 def codiff_sign(n: int, p: int, q: int, side: str) -> float:
@@ -317,20 +266,22 @@ def codiff_sign(n: int, p: int, q: int, side: str) -> float:
 
 
 def codiff(omega: DoubleFormField, x: np.ndarray, side: str = "left",
-           conn: Connection | None = None, G: PointMetric | None = None) -> DoubleForm:
+           g: MetricField | None = None, G: PointMetric | None = None) -> DoubleForm:
     """Divergence delta = -D^* with D^* the signed star-D-star composition.
 
-    With the flat connection the stars are Euclidean unless G is given; with
-    a Levi-Civita connection they default to its metric at x.  The star
-    commutes with the covariant derivative, so it acts on every jet level.
+    With the flat connection (g None) the stars are Euclidean unless G is
+    given; in the Levi-Civita connection of g they default to g at x.  The
+    star commutes with the covariant derivative, so it acts on every jet
+    level.
     """
     x = np.asarray(x, dtype=float)
     gamma = None
-    if conn is not None and conn.g is not None:
-        Gx, d1 = conn.g.jet(x, 1)
+    if g is not None:
+        Gx, d1 = g.jet(x, 1)
         gamma = _christoffel_from_jets(Gx, d1)
         G = PointMetric(Gx) if G is None else G
-    d_star = _jet_d(jet_hodge(_first_jet(omega, x, gamma), G), side)
+    jet = jet_from_partials(omega.n, omega.p, omega.q, omega.jet(x, 1), gamma)
+    d_star = _jet_d(jet_hodge(jet, G), side)
     return -codiff_sign(omega.n, omega.p, omega.q, side) * hodge(d_star.form(), G)
 
 
@@ -356,69 +307,37 @@ class Jet:
         return DoubleForm(self.n, self.p, self.q, self.levels[0])
 
 
-def jet_from_partials(n: int, p: int, q: int, comps: np.ndarray,
-                      partial1: np.ndarray | None = None,
-                      partial2: np.ndarray | None = None,
+def jet_from_partials(n: int, p: int, q: int, partials: list[np.ndarray],
                       gamma: np.ndarray | None = None,
                       dgamma: np.ndarray | None = None) -> Jet:
-    """Build covariant jets from plain partial derivatives and Christoffels."""
-    levels = [comps]
-    if partial1 is not None:
-        cov1 = _cov_d1_comps(comps, partial1, gamma, n, p, q)
-        levels.append(cov1)
-        if partial2 is not None:
-            if gamma is None:
-                levels.append(partial2)
-            else:
-                # d_a (nabla_b w) = dd w - D(d_a Gamma_b) w - D(Gamma_b) d_a w,
-                # then nabla_a subtracts Gamma^m_ab nabla_m w and D(Gamma_a) nabla_b w
-                A = np.moveaxis(gamma, -2, -3)        # A[..., b, m, i] = Gamma^m_bi
-                dA = np.swapaxes(dgamma, -3, -2)      # dA[..., a, b, m, i] = d_a Gamma^m_bi
+    """Covariant jet from the plain partials [F, dF, ddF] (depth 0..2) of a
+    field, the Christoffel symbols gamma and their partials dgamma (gamma
+    None: the flat connection, where the partials are the jet)."""
+    if gamma is None or len(partials) == 1:
+        return Jet(n, p, q, list(partials))
+    comps, partial1 = partials[:2]
+    A = np.moveaxis(gamma, -2, -3)        # A[..., b, m, i] = Gamma^m_bi
 
-                def act(M, w):
-                    return derivation_action(M, DoubleForm(n, p, q, w)).comps
+    def act(M, w):
+        return derivation_action(M, DoubleForm(n, p, q, w)).comps
 
-                cov2 = (partial2
-                        - act(dA, comps[..., None, None, :, :])
-                        - act(A[..., None, :, :, :], partial1[..., :, None, :, :])
-                        - np.einsum("...mab,...mIJ->...abIJ", gamma, cov1)
-                        - act(A[..., :, None, :, :], cov1[..., None, :, :, :]))
-                levels.append(cov2)
-    return Jet(n, p, q, levels)
+    cov1 = partial1 - act(A, comps[..., None, :, :])
+    if len(partials) == 2:
+        return Jet(n, p, q, [comps, cov1])
+    # d_a (nabla_b w) = dd w - D(d_a Gamma_b) w - D(Gamma_b) d_a w,
+    # then nabla_a subtracts Gamma^m_ab nabla_m w and D(Gamma_a) nabla_b w
+    dA = np.swapaxes(dgamma, -3, -2)      # dA[..., a, b, m, i] = d_a Gamma^m_bi
+    cov2 = (partials[2]
+            - act(dA, comps[..., None, None, :, :])
+            - act(A[..., None, :, :, :], partial1[..., :, None, :, :])
+            - np.einsum("...mab,...mIJ->...abIJ", gamma, cov1)
+            - act(A[..., :, None, :, :], cov1[..., None, :, :, :]))
+    return Jet(n, p, q, [comps, cov1, cov2])
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
     depth = min(a.depth, b.depth)
     return Jet(a.n, a.p, a.q, [a.levels[m] + b.levels[m] for m in range(depth + 1)])
-
-
-def jet_wedge(a: Jet, b: Jet) -> Jet:
-    """Kulkarni-Nomizu product of jets with the Leibniz rule on derivatives."""
-    n = a.n
-    p, q = a.p + b.p, a.q + b.q
-    depth = min(a.depth, b.depth)
-
-    def w(ca, pa, qa, cb, pb, qb):
-        return wedge(DoubleForm(n, pa, qa, ca), DoubleForm(n, pb, qb, cb)).comps
-
-    levels = [w(a.levels[0], a.p, a.q, b.levels[0], b.p, b.q)]
-    if depth >= 1:
-        lv1 = (w(a.levels[1], a.p, a.q, b.levels[0][..., None, :, :], b.p, b.q)
-               + w(a.levels[0][..., None, :, :], a.p, a.q, b.levels[1], b.p, b.q))
-        levels.append(lv1)
-    if depth >= 2:
-        a0 = a.levels[0][..., None, None, :, :]
-        b0 = b.levels[0][..., None, None, :, :]
-        a1a = a.levels[1][..., :, None, :, :]
-        a1b = a.levels[1][..., None, :, :, :]
-        b1a = b.levels[1][..., :, None, :, :]
-        b1b = b.levels[1][..., None, :, :, :]
-        lv2 = (w(a.levels[2], a.p, a.q, b0, b.p, b.q)
-               + w(a1a, a.p, a.q, b1b, b.p, b.q)
-               + w(a1b, a.p, a.q, b1a, b.p, b.q)
-               + w(a0, a.p, a.q, b.levels[2], b.p, b.q))
-        levels.append(lv2)
-    return Jet(n, p, q, levels)
 
 
 def jet_d_left(a: Jet) -> Jet:
@@ -453,17 +372,6 @@ def jet_hodge(a: Jet, G: PointMetric | None = None) -> Jet:
     return Jet(a.n, a.n - a.p, a.n - a.q, levels)
 
 
-def metric_jet(n: int, G: np.ndarray | None = None, depth: int = 1,
-               batch_shape: tuple[int, ...] = ()) -> Jet:
-    """The metric as a covariantly constant (1,1) jet."""
-    comps = metric_form(n, G).comps
-    comps = np.broadcast_to(comps, batch_shape + comps.shape[-2:]).copy()
-    levels = [comps]
-    for m in range(1, depth + 1):
-        levels.append(np.zeros(batch_shape + (n,) * m + comps.shape[-2:]))
-    return Jet(n, 1, 1, levels)
-
-
 def riemann_jet(g: MetricField, x: np.ndarray, depth: int = 1) -> Jet:
     """Curvature of g at x as a jet (depth 0 or 1) from one metric jet.
 
@@ -479,4 +387,4 @@ def riemann_jet(g: MetricField, x: np.ndarray, depth: int = 1) -> Jet:
         return Jet(n, 2, 2, [R])
     gam = _christoffel_from_jets(*jets[:2])
     dR = pack_22(_riemann_partial_d1_from_jets(*jets, gam), n).comps
-    return jet_from_partials(n, 2, 2, R, dR, gamma=gam)
+    return jet_from_partials(n, 2, 2, [R, dR], gamma=gam)

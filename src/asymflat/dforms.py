@@ -50,7 +50,6 @@ __all__ = [
     "metric_form",
     "zero_form",
     "scalar_form",
-    "volume_form",
     "evaluate",
 ]
 
@@ -170,11 +169,6 @@ def metric_form(n: int, G: np.ndarray | None = None) -> DoubleForm:
     if G is None:
         G = np.eye(n)
     return DoubleForm(n, 1, 1, np.asarray(G, dtype=float))
-
-
-def volume_form(n: int) -> DoubleForm:
-    """The double volume form dvol (x) dvol in bidegree (n, n)."""
-    return DoubleForm(n, n, n, np.ones((1, 1)))
 
 
 # ---------------------------------------------------------------------------

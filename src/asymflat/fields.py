@@ -4,10 +4,11 @@ The shipped families (generalized Schwarzschild, parity-controlled
 perturbations of the flat metric) carry closed-form derivatives; the
 perturbations, and the chart changes of `chartchange`, are tensors of radial
 polynomials held as one (alphas, betas, coeff) table (`TensorRadialPoly`)
-and differentiated on that table.  Consumers read a metric through
-`MetricField.jet(x, order)`, one call per batch of nodes, and each family
-decides there which derivative orders it builds together.  Derivative array
-conventions:
+and differentiated on that table.  Every field, these tables included, is
+read through one `jet(x, order)` call per batch of nodes: [F, dF, ...,
+d^order F], with the derivative axes between the batch and the component
+axes; each metric family decides in `jet` which orders it builds together.
+Derivative array conventions:
 
     d1[..., k, i, j]       = d_k g_ij
     d2[..., k, l, i, j]    = d_k d_l g_ij
@@ -119,6 +120,14 @@ class TensorRadialPoly:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return eval_polys([self], x)[0]
 
+    def jet(self, x: np.ndarray, order: int) -> list[np.ndarray]:
+        """[T, dT, ..., d^order T] at x from one shared power table, the
+        derivative axes between the batch and the entry axes."""
+        polys = [self]
+        while len(polys) <= order:
+            polys.append(polys[-1].deriv())
+        return eval_polys(polys, x)
+
 
 def eval_polys(polys, x: np.ndarray) -> list[np.ndarray]:
     """Evaluate several TensorRadialPolys at x from one shared power table.
@@ -176,11 +185,12 @@ class MetricField:
 
     Subclasses implement eval/d1/d2/d3; `tau` is the declared decay order of
     g - delta and `regularity` the number of controlled derivative orders.
-    Code outside this module reads a metric only through `jet`.  A family
-    overrides `jet` only when its orders share work (the chain-rule pullback
-    builds every order in one pass); the closed-form families keep the
-    default, so that a profiler wrapping eval/d1/d2/d3 (perfbench's
-    `fields.jet` spans) still sees every evaluation.
+    Code outside this module reads a metric only through `jet`, and
+    g - delta through `curvature.deviation_field(g)`.  A family overrides
+    `jet` only when its orders share work (the chain-rule pullback builds
+    every order in one pass); the closed-form families keep the default, so
+    that a profiler wrapping eval/d1/d2/d3 (perfbench's `fields.jet` spans)
+    still sees every evaluation.
     """
 
     n: int
@@ -212,10 +222,6 @@ class MetricField:
             raise ChartError(
                 f"point at radius {float(np.min(r)):.4g} below chart minimum {self.r_min:.4g}"
             )
-
-    def deviation(self, x: np.ndarray) -> np.ndarray:
-        """e = g - delta at x."""
-        return self.eval(x) - np.eye(self.n)
 
 
 class EuclideanMetric(MetricField):

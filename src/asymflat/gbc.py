@@ -141,12 +141,12 @@ def variation_residual(g: MetricField, h: DoubleFormField, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     G, d1, d2 = g.jet(x, 2)
-    h0, h1, h2 = eps * h.eval(x).comps, eps * h.d1(x), eps * h.d2(x)
+    h0, h1, h2 = (eps * lv for lv in h.jet(x, 2))
     if np.any(np.linalg.eigvalsh(G + h0) <= 0):
         raise ValueError("perturbed metric not positive-definite")
     R_pert = _riemann_packed(G + h0, d1 + h1, d2 + h2)
     R_base = _riemann_packed(G, d1, d2)
-    jh = jet_from_partials(g.n, 1, 1, h0, h1, h2,
+    jh = jet_from_partials(g.n, 1, 1, [h0, h1, h2],
                            gamma=_christoffel_from_jets(G, d1),
                            dgamma=_christoffel_d1_from_jets(G, d1, d2))
     box = jet_add(jet_d_left(jet_d_right(jh)), jet_d_right(jet_d_left(jh)))

@@ -152,10 +152,6 @@ def _algebra_checks(rng, n: int, count: int, tol: float) -> list[IdentityCheck]:
     return checks
 
 
-def _field_jet(F: PolynomialDoubleFormField, x: np.ndarray):
-    return jet_from_partials(F.n, F.p, F.q, F.eval(x).comps, F.d1(x), F.d2(x))
-
-
 def _field_checks(rng, n: int, tol: float) -> list[IdentityCheck]:
     checks = []
     x = rng.standard_normal((6, n))
@@ -163,7 +159,7 @@ def _field_checks(rng, n: int, tol: float) -> list[IdentityCheck]:
         if p > n or q > n:
             continue
         F = PolynomialDoubleFormField.random(n, p, q, seed=int(rng.integers(1 << 30)))
-        jF = _field_jet(F, x)
+        jF = jet_from_partials(n, p, q, F.jet(x, 2))
         if p + 2 <= n:
             err = jet_d_left(jet_d_left(jF)).form().norm().max()
             checks.append(IdentityCheck("D^2 = 0", n, p, q, float(err), tol))

@@ -3,7 +3,13 @@ from itertools import product as iter_product
 import numpy as np
 
 from asymflat.chartchange import make_diffeo, pullback_metric, zeta_harmonic
-from asymflat.curvature import _christoffel_from_jets
+from asymflat.curvature import (
+    Jet,
+    _christoffel_d1_from_jets,
+    _christoffel_from_jets,
+    _riemann_partial_d1_from_jets,
+)
+from asymflat.dforms import DoubleForm, metric_form, wedge
 from asymflat.fields import (
     MetricField,
     TensorRadialPoly,
@@ -39,6 +45,61 @@ def riemann_array_dense(g, x):
 def raise_left_dense(Ginv, R):
     """R# = g^-1 g^-1 R on the first index pair of the full array."""
     return np.einsum("...ai,...bj,...ijkl->...abkl", Ginv, Ginv, R, optimize=True)
+
+
+# ---------------------------------------------------------------------------
+# plain partials of the connection and the curvature, and the Leibniz rule
+# on covariant jets: references for the jet paths of `curvature`
+# ---------------------------------------------------------------------------
+
+def christoffel_d1(g, x):
+    """Partial derivatives d_k Gamma^a_ij, shape (..., k, a, i, j)."""
+    return _christoffel_d1_from_jets(*g.jet(x, 2))
+
+
+def riemann_partial_d1(g, x):
+    """Plain partial derivatives d_m R[i,j,k,l], shape (..., m, n, n, n, n)."""
+    G, d1, d2, d3 = g.jet(x, 3)
+    return _riemann_partial_d1_from_jets(G, d1, d2, d3, _christoffel_from_jets(G, d1))
+
+
+def jet_wedge(a, b):
+    """Kulkarni-Nomizu product of jets with the Leibniz rule on derivatives."""
+    n = a.n
+    p, q = a.p + b.p, a.q + b.q
+    depth = min(a.depth, b.depth)
+
+    def w(ca, pa, qa, cb, pb, qb):
+        return wedge(DoubleForm(n, pa, qa, ca), DoubleForm(n, pb, qb, cb)).comps
+
+    levels = [w(a.levels[0], a.p, a.q, b.levels[0], b.p, b.q)]
+    if depth >= 1:
+        lv1 = (w(a.levels[1], a.p, a.q, b.levels[0][..., None, :, :], b.p, b.q)
+               + w(a.levels[0][..., None, :, :], a.p, a.q, b.levels[1], b.p, b.q))
+        levels.append(lv1)
+    if depth >= 2:
+        a0 = a.levels[0][..., None, None, :, :]
+        b0 = b.levels[0][..., None, None, :, :]
+        a1a = a.levels[1][..., :, None, :, :]
+        a1b = a.levels[1][..., None, :, :, :]
+        b1a = b.levels[1][..., :, None, :, :]
+        b1b = b.levels[1][..., None, :, :, :]
+        lv2 = (w(a.levels[2], a.p, a.q, b0, b.p, b.q)
+               + w(a1a, a.p, a.q, b1b, b.p, b.q)
+               + w(a1b, a.p, a.q, b1a, b.p, b.q)
+               + w(a0, a.p, a.q, b.levels[2], b.p, b.q))
+        levels.append(lv2)
+    return Jet(n, p, q, levels)
+
+
+def metric_jet(n, G=None, depth=1, batch_shape=()):
+    """The metric as a covariantly constant (1,1) jet."""
+    comps = metric_form(n, G).comps
+    comps = np.broadcast_to(comps, batch_shape + comps.shape[-2:]).copy()
+    levels = [comps]
+    for m in range(1, depth + 1):
+        levels.append(np.zeros(batch_shape + (n,) * m + comps.shape[-2:]))
+    return Jet(n, 1, 1, levels)
 
 
 # ---------------------------------------------------------------------------

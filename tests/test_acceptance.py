@@ -25,8 +25,6 @@ from asymflat.curvature import (
     jet_d_left,
     jet_d_right,
     jet_from_partials,
-    jet_wedge,
-    metric_jet,
     riemann,
     riemann_jet,
 )
@@ -50,6 +48,8 @@ from asymflat.invariants import (
     sphere_rule,
 )
 from asymflat.parity import rt_check
+
+from conftest import jet_wedge, metric_jet
 
 
 DYADIC = lambda r0, levels: [r0 * 2.0**j for j in range(levels)]
@@ -163,7 +163,7 @@ def test_criterion_05_flat_engine_identities():
     h0 = sym(z1(x))
     h1 = sym(z2(x))
     h2 = sym(z3(x))
-    jh = jet_from_partials(n, 1, 1, h0, h1, h2)
+    jh = jet_from_partials(n, 1, 1, [h0, h1, h2])
     box = jet_add(jet_d_right(jet_d_left(jh)), jet_d_left(jet_d_right(jh)))
     scale = max(float(np.abs(h0).max()), 1.0)
     assert box.form().norm().max() / scale < 1e-12
@@ -171,7 +171,7 @@ def test_criterion_05_flat_engine_identities():
     from asymflat.curvature import PolynomialDoubleFormField
     for p, q in [(1, 1), (2, 1)]:
         F = PolynomialDoubleFormField.random(n, p, q, seed=7)
-        jF = jet_from_partials(n, p, q, F.eval(x).comps, F.d1(x), F.d2(x))
+        jF = jet_from_partials(n, p, q, F.jet(x, 2))
         assert jet_d_left(jet_d_left(jF)).form().norm().max() < 1e-12
         assert jet_d_right(jet_d_right(jF)).form().norm().max() < 1e-12
         comm = (jet_d_left(jet_d_right(jF)).form()

@@ -5,7 +5,6 @@ from scipy.stats import ortho_group
 from asymflat.chartchange import (
     Diffeo,
     invariance_report,
-    lie_deviation,
     make_diffeo,
     pullback_metric,
     zeta_harmonic,
@@ -106,6 +105,13 @@ def test_pullback_by_isometry_of_flat_is_flat():
     x = np.array([5.0, 1.0, -2.0, 3.0])
     assert np.allclose(gp.eval(x), np.eye(4), atol=1e-14)
     assert np.abs(gp.d1(x)).max() < 1e-14
+
+
+def lie_deviation(phi, x):
+    """The symmetrized gradient d zeta + (d zeta)^T, the leading part of
+    Phi* b - b for A = id and small zeta."""
+    z1 = phi.zeta_jet(x, 1)
+    return z1 + np.swapaxes(z1, -1, -2)
 
 
 def test_lie_deviation_leading_order():

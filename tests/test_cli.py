@@ -64,6 +64,16 @@ def test_csv_output(capsys, tmp_path):
     assert any(row.split(",")[1] == "limit" for row in lines[1:])
 
 
+@pytest.mark.parametrize("command", ["verify", "invariance", "rtcheck"])
+def test_csv_only_on_a_json_only_command_exits_1(capsys, tmp_path, command):
+    # refused before any work: no output directory, no file
+    out = tmp_path / "out"
+    code, _, err = run([command, "--n", "3", "--format", "csv", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: format")
+    assert not out.exists()
+
+
 def test_config_file_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "m": 2.0, "radii": "20:4",

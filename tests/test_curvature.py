@@ -5,21 +5,18 @@ import numpy as np
 import pytest
 
 from asymflat.curvature import (
-    Connection,
     _christoffel_from_jets,
     _riemann_packed,
     pack_22,
     PolynomialDoubleFormField,
     christoffel,
-    christoffel_d1,
     codiff,
+    deviation_field,
     ext_deriv,
     jet_d_left,
     jet_d_right,
     jet_from_partials,
     jet_hodge,
-    jet_wedge,
-    metric_jet,
     riemann,
     riemann_jet,
 )
@@ -27,7 +24,6 @@ from asymflat.curvature import (
     DoubleFormField,
     d_left_comps,
     d_right_comps,
-    riemann_partial_d1,
 )
 from asymflat.dforms import (
     DoubleForm,
@@ -54,10 +50,14 @@ from asymflat.invariants import _center_form, _flux_integrands
 from conftest import (
     CountingMetric,
     RoundSphereChart,
+    christoffel_d1,
     curvature_cases,
+    jet_wedge,
+    metric_jet,
     points_at_radii,
     riemann_array_dense,
     riemann_from_jets_dense,
+    riemann_partial_d1,
 )
 
 
@@ -210,7 +210,7 @@ def test_christoffel_is_bit_identical_to_the_identity_einsum_copy(n):
 def test_ext_deriv_flat_squares_to_zero():
     F = PolynomialDoubleFormField.random(4, 1, 1, seed=3)
     x = np.random.default_rng(0).standard_normal((5, 4))
-    jet = jet_from_partials(4, 1, 1, F.eval(x).comps, F.d1(x), F.d2(x))
+    jet = jet_from_partials(4, 1, 1, F.jet(x, 2))
     assert jet_d_left(jet_d_left(jet)).form().norm().max() < 1e-12
     assert jet_d_right(jet_d_right(jet)).form().norm().max() < 1e-12
 
@@ -236,14 +236,7 @@ def test_codiff_is_adjoint_to_ext_deriv_flat():
     F = PolynomialDoubleFormField(n, 0, 0, TensorRadialPoly(n, (1, 1), [[2, 0, 0], [0, 3, 0]],
                                                             [0.0, 0.0], [[1.0, 1.0]]))
     trp1 = F.trp.deriv()
-    trp2 = trp1.deriv()
-
-    from asymflat.curvature import DoubleFormField
-    gradF = DoubleFormField(
-        n, 1, 0,
-        lambda y: trp1(y)[..., :, :, 0],
-        lambda y: trp2(y)[..., :, :, :, 0],
-    )
+    gradF = DoubleFormField(n, 1, 0, lambda y, order: [lv[..., 0] for lv in trp1.jet(y, order)])
     x = np.array([1.0, 2.0, -1.5])
     dd = codiff(gradF, x, "left")
     lap = 2.0 + 6.0 * x[1]
@@ -255,16 +248,17 @@ def test_jet_wedge_leibniz():
     F = PolynomialDoubleFormField.random(n, 1, 1, seed=5)
     H = PolynomialDoubleFormField.random(n, 1, 0, seed=6)
     x = np.random.default_rng(1).standard_normal((3, n))
-    jF = jet_from_partials(n, 1, 1, F.eval(x).comps, F.d1(x), F.d2(x))
-    jH = jet_from_partials(n, 1, 0, H.eval(x).comps, H.d1(x), H.d2(x))
+    jF = jet_from_partials(n, 1, 1, F.jet(x, 2))
+    jH = jet_from_partials(n, 1, 0, H.jet(x, 2))
     jW = jet_wedge(jF, jH)
     # level 0 is the plain wedge
     assert np.allclose(jW.levels[0], wedge(F.eval(x), H.eval(x)).comps)
     # level 1 satisfies the Leibniz rule componentwise (flat connection)
+    F1, H1 = F.jet(x, 1)[1], H.jet(x, 1)[1]
     for k in range(n):
         lhs = jW.levels[1][..., k, :, :]
-        rhs = (wedge(DoubleForm(n, 1, 1, F.d1(x)[..., k, :, :]), H.eval(x)).comps
-               + wedge(F.eval(x), DoubleForm(n, 1, 0, H.d1(x)[..., k, :, :])).comps)
+        rhs = (wedge(DoubleForm(n, 1, 1, F1[..., k, :, :]), H.eval(x)).comps
+               + wedge(F.eval(x), DoubleForm(n, 1, 0, H1[..., k, :, :])).comps)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -295,15 +289,6 @@ def test_riemann_jet_flat_vanishes():
     assert np.abs(j.levels[1]).max() == 0.0
 
 
-def test_connection_kinds():
-    assert Connection().kind == "flat"
-    g = make_schwarzschild(3, 1, 1.0)
-    conn = Connection(g)
-    assert conn.kind == "levi-civita"
-    x = np.array([3.0, 0.0, 0.0])
-    assert np.allclose(conn.christoffel(x), christoffel(g, x))
-
-
 def test_exterior_derivative_comps_match_wedge_loop():
     # the signed contractions against the interior-product table equal the
     # sums of wedges with the basis 1-forms they replaced
@@ -327,9 +312,9 @@ def test_curved_second_jet_level_matches_loop():
     g = make_rt_perturbation(n, 1.0, seed=2, parity="mixed", amplitude=0.3)
     F = PolynomialDoubleFormField.random(n, p, q, seed=5)
     x = np.array([[3.0, -1.0, 2.0], [0.5, 2.5, -2.0]])
-    comps, d1, d2 = F.eval(x).comps, F.d1(x), F.d2(x)
+    comps, d1, d2 = F.jet(x, 2)
     gam, dgam = christoffel(g, x), christoffel_d1(g, x)
-    jet = jet_from_partials(n, p, q, comps, d1, d2, gamma=gam, dgamma=dgam)
+    jet = jet_from_partials(n, p, q, [comps, d1, d2], gamma=gam, dgamma=dgam)
     cov1 = jet.levels[1]
 
     def act(A, w):
@@ -355,15 +340,13 @@ def test_curved_codiff_of_gradient_is_laplace_beltrami(g):
     f = TensorRadialPoly(n, (1, 1), [[2, 0, 0], [0, 3, 0], [1, 0, 1]], [0.0, 0.0, 0.0],
                          [[1.0, 1.0, -2.0]])
     trp1 = f.deriv()
-    trp2 = trp1.deriv()
-    df = DoubleFormField(n, 1, 0, lambda y: trp1(y)[..., :, :, 0],
-                         lambda y: trp2(y)[..., :, :, :, 0])
+    df = DoubleFormField(n, 1, 0, lambda y, order: [lv[..., 0] for lv in trp1.jet(y, order)])
     x = np.array([[3.0, -1.0, 2.0], [-2.5, 2.0, 1.5], [0.5, 3.5, -2.0]])
-    grad, hess = trp1(x)[..., 0, 0], trp2(x)[..., 0, 0]
+    grad, hess = trp1(x)[..., 0, 0], trp1.deriv()(x)[..., 0, 0]
     Ginv = np.linalg.inv(g.eval(x))
     lap = np.einsum("...ij,...ij->...", Ginv,
                     hess - np.einsum("...kij,...k->...ij", christoffel(g, x), grad))
-    delta = codiff(df, x, "left", conn=Connection(g)).comps[..., 0, 0]
+    delta = codiff(df, x, "left", g=g).comps[..., 0, 0]
     assert np.abs(delta - lap).max() <= 1e-12 * max(1.0, np.abs(lap).max())
 
 
@@ -385,7 +368,9 @@ def test_curvature_consumers_evaluate_each_metric_jet_once():
         "_flux_integrands": (lambda g: _flux_integrands(g, x, nu, ctx, center=True),
                              ("eval", "d1")),
         "_center_form": (lambda g: _center_form(g, x, ctx, 0), ("eval", "d1")),
-        "codiff": (lambda g: codiff(h, x, "left", conn=Connection(g)), ("eval", "d1")),
+        "codiff": (lambda g: codiff(h, x, "left", g=g), ("eval", "d1")),
+        "ext_deriv": (lambda g: ext_deriv(h, x, "left", g=g), ("eval", "d1")),
+        "deviation_field": (lambda g: deviation_field(g).jet(x, 2), ("eval", "d1", "d2")),
     }
     for name, (call, used) in consumers.items():
         g = CountingMetric(base)

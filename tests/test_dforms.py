@@ -16,7 +16,6 @@ from asymflat.dforms import (
     metric_form,
     scalar_form,
     transpose,
-    volume_form,
     wedge,
     wedge_power,
     zero_form,
@@ -48,6 +47,11 @@ def bidegrees(n):
 
 def g_norm(a, G):
     return np.sqrt(inner(a, a, G))
+
+
+def volume_form(n):
+    """The double volume form dvol (x) dvol in bidegree (n, n)."""
+    return DoubleForm(n, n, n, np.ones((1, 1)))
 
 
 def test_shape_validation():

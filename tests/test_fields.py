@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asymflat.chartchange import zeta_harmonic, zeta_radial
-from asymflat.curvature import PolynomialDoubleFormField
+from asymflat.curvature import PolynomialDoubleFormField, deviation_field
 from asymflat.fields import (
     ChartError,
     EuclideanMetric,
@@ -103,7 +103,7 @@ def test_schwarzschild_decay_rate():
     g = make_schwarzschild(3, 1, 1.0)
     rs = np.array([10.0, 20.0, 40.0])
     x = np.stack([rs, np.zeros(3), np.zeros(3)], axis=-1)
-    dev = np.abs(g.deviation(x)).max(axis=(-2, -1))
+    dev = np.abs(deviation_field(g).eval(x).comps).max(axis=(-2, -1))
     # tau = 1: deviation halves when the radius doubles
     assert np.allclose(dev[:-1] / dev[1:], 2.0, rtol=0.05)
 
@@ -141,8 +141,9 @@ def test_rt_perturbation_parities():
     for parity in ("even", "odd", "mixed"):
         g = make_rt_perturbation(3, 1.0, seed=2, parity=parity)
         x = np.array([5.0, -3.0, 2.0])
-        e_plus = g.deviation(x)
-        e_minus = g.deviation(-x)
+        e = deviation_field(g)
+        e_plus = e.eval(x).comps
+        e_minus = e.eval(-x).comps
         if parity == "even":
             assert np.allclose(e_plus, e_minus, atol=1e-14)
         elif parity == "odd":
@@ -161,7 +162,7 @@ def test_rt_perturbation_decay():
     g = make_rt_perturbation(3, 1.5, seed=0, parity="even")
     rs = np.array([10.0, 100.0])
     x = np.stack([rs / np.sqrt(2), rs / np.sqrt(2), np.zeros(2)], axis=-1)
-    dev = np.abs(g.deviation(x)).max(axis=(-2, -1))
+    dev = np.abs(deviation_field(g).eval(x).comps).max(axis=(-2, -1))
     rate = np.log(dev[0] / dev[1]) / np.log(10.0)
     assert abs(rate - 1.5) < 0.1
 
@@ -231,6 +232,15 @@ def test_shared_power_table_is_bit_identical_per_polynomial():
             for name, T, got in zip(names, polys, eval_polys(polys, x)):
                 assert got.shape == batch + T.shape, (name, batch)
                 assert np.array_equal(got, _per_monomial_eval(T, x)), (name, batch)
+    # a jet is one shared table over the derivative chain of one polynomial
+    for name, T in cases:
+        for batch in ((), (6,), (2, 3)):
+            x = rng.standard_normal(batch + (T.n,)) * 20.0
+            chain = [T]
+            for _ in range(2):
+                chain.append(chain[-1].deriv())
+            for got, want in zip(T.jet(x, 2), chain, strict=True):
+                assert np.array_equal(got, want(x)), (name, batch)
 
 
 def _deriv_cases():

@@ -7,7 +7,6 @@ from asymflat.curvature import (
     DoubleFormField,
     PolynomialDoubleFormField,
     christoffel,
-    christoffel_d1,
     jet_add,
     jet_d_left,
     jet_d_right,
@@ -38,6 +37,7 @@ from asymflat.gbc import (
 
 from conftest import (
     RoundSphereChart,
+    christoffel_d1,
     curvature_cases,
     points_at_radii,
     raise_left_dense,
@@ -140,11 +140,10 @@ def test_flat_metric_curvatures_vanish():
 
 def _symmetric(field, scale=0.05):
     """scale (h + h^T) of a (1,1) field h, with its partials."""
-    def sym(f):
-        return lambda y: scale * (f(y) + np.swapaxes(f(y), -1, -2))
+    def jet(y, order):
+        return [scale * (lv + np.swapaxes(lv, -1, -2)) for lv in field.jet(y, order)]
 
-    return DoubleFormField(field.n, 1, 1, sym(lambda y: field.eval(y).comps),
-                           sym(field.d1), sym(field.d2))
+    return DoubleFormField(field.n, 1, 1, jet)
 
 
 def test_variation_residual_second_order_at_flat():
@@ -180,10 +179,10 @@ def _variation_residual_dense(g, h, x, eps):
     and the larger max|R| of the two."""
     n = g.n
     G, d1, d2 = g.jet(x, 2)
-    h0, h1, h2 = eps * h.eval(x).comps, eps * h.d1(x), eps * h.d2(x)
+    h0, h1, h2 = (eps * lv for lv in h.jet(x, 2))
     R_pert = riemann_from_jets_dense(G + h0, d1 + h1, d2 + h2)
     R_base = riemann_from_jets_dense(G, d1, d2)
-    jh = jet_from_partials(n, 1, 1, h0, h1, h2,
+    jh = jet_from_partials(n, 1, 1, [h0, h1, h2],
                            gamma=christoffel(g, x), dgamma=christoffel_d1(g, x))
     box = jet_add(jet_d_left(jet_d_right(jh)), jet_d_right(jet_d_left(jh)))
     scale = max(np.abs(R_pert).max(), np.abs(R_base).max())
