@@ -30,10 +30,10 @@ import numpy as np
 from .fields import ChartError, MetricField, TensorRadialPoly
 from .gbc import GBCContext
 from .invariants import (
-    InvariantResult,
+    _center_results,
     _raw_flux_curves,
+    _result,
     calibration_constants,
-    extrapolate,
 )
 
 __all__ = [
@@ -45,6 +45,11 @@ __all__ = [
     "pullback_metric",
     "invariance_report",
 ]
+
+# make_diffeo samples SHELL_SAMPLES seeded directions on dyadic shells from SHELL_R0
+SHELL_R0, SHELL_SAMPLES, SHELL_SEED = 2.0, 64, 11
+# invariance_report: |delta m_k| < MASS_TOL max(1, |m_k|), |delta C^i| < CENTER_TOL
+MASS_TOL, CENTER_TOL = 1e-3, 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +110,11 @@ class Diffeo:
 
 def make_diffeo(Q: np.ndarray | None = None, w: np.ndarray | None = None,
                 zeta: TensorRadialPoly | None = None, tau_prime: float = np.inf,
-                n: int | None = None, r_hint: float = 2.0,
-                samples: int = 64, seed: int = 11) -> Diffeo:
+                n: int | None = None) -> Diffeo:
     """Validate and build Phi = A compose S.
 
     The contraction bound sup |d zeta| < 1 is certified by sampling dyadic
-    shells outward from `r_hint`; r_valid is the first sampled shell radius
+    shells outward from `SHELL_R0`; r_valid is the first sampled shell radius
     from which the sampled sup stays below 0.9 on every shell further out.
     A zeta whose sampled sup on the outermost shell is 0.9 or more is
     rejected.
@@ -136,10 +140,10 @@ def make_diffeo(Q: np.ndarray | None = None, w: np.ndarray | None = None,
         phi.r_valid = 0.0
         return phi
 
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, n))
+    rng = np.random.default_rng(SHELL_SEED)
+    dirs = rng.standard_normal((SHELL_SAMPLES, n))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    radii = r_hint * 2.0 ** np.arange(12)
+    radii = SHELL_R0 * 2.0 ** np.arange(12)
     z1 = phi.zeta_jet(radii[:, None, None] * dirs, 1)   # every shell at once
     sups = np.max(np.linalg.norm(z1, axis=(-2, -1)), axis=1)
     if sups[-1] >= 0.9:
@@ -386,47 +390,42 @@ def _drift_slope(radii, deltas) -> float:
 
 def invariance_report(g: MetricField, phi: Diffeo, ctx: GBCContext, radii,
                       level: int = 8, include_center: bool = False,
-                      mass_tol: float = 1e-3, center_tol: float = 5e-3,
                       step: float | None = None) -> list[InvarianceReport]:
-    """Compare mass (and optionally center) curves of g and Phi* g.
+    """Compare mass (and optionally center) limits and curves of g and Phi* g.
 
-    Failures are reported through the pass flags, never raised: a drift
-    that does not tend to zero shows up as delta_limit above tolerance
-    and a non-negative fitted slope.
+    Each limit is the one `gbc_mass_center` reports.  Failures are reported
+    through the pass flags, never raised: a drift that does not tend to zero
+    shows up as delta_limit above tolerance and a non-negative fitted slope.
     """
     gp = pullback_metric(phi, g)
     radii = [float(r) for r in radii]
-    reports = []
-    cal = calibration_constants(ctx.n, ctx.k)
 
     # one pass per radius gives the mass and, when asked, every center axis
     curves_g = _raw_flux_curves(g, ctx, radii, level, center=include_center)
     curves_p = _raw_flux_curves(gp, ctx, radii, level, center=include_center)
-    curve_g, curve_p = curves_g[0], curves_p[0]
-    a = cal["a"]
+    a = calibration_constants(ctx.n, ctx.k)["a"]
+    mass_g, mass_p = _result(curves_g[0], step, a), _result(curves_p[0], step, a)
     rows = [(r, a * vg, a * vp, a * (vp - vg))
-            for (r, vg), (_, vp) in zip(curve_g, curve_p)]
-    lim_g = extrapolate(curve_g, step=step)[0]
-    lim_p = extrapolate(curve_p, step=step)[0]
-    delta = a * (lim_p - lim_g)
-    tol = mass_tol * max(1.0, abs(a * lim_g))
-    reports.append(InvarianceReport(
+            for (r, vg), (_, vp) in zip(curves_g[0], curves_p[0])]
+    delta = mass_p.limit - mass_g.limit
+    tol = MASS_TOL * max(1.0, abs(mass_g.limit))
+    reports = [InvarianceReport(
         "mass", rows, delta, _drift_slope(radii, [row[3] for row in rows]),
         tol, abs(delta) < tol,
-        extra={"mass_g": a * lim_g, "mass_pullback": a * lim_p}))
+        extra={"mass_g": mass_g.limit, "mass_pullback": mass_p.limit})]
 
     if include_center:
-        mk_g, mk_p = a * lim_g, a * lim_p
-        c = cal["c"]
-        for axis, (cg, cp) in enumerate(zip(curves_g[1:], curves_p[1:])):
-            vg = c * extrapolate(cg, step=step)[0] / mk_g
-            vp = c * extrapolate(cp, step=step)[0] / mk_p
+        mk_g, mk_p = mass_g.limit, mass_p.limit
+        centers = zip(_center_results(curves_g[1:], ctx, mass_g, step),
+                      _center_results(curves_p[1:], ctx, mass_p, step))
+        for axis, (cg, cp) in enumerate(centers):
+            c = cg.constant_used
             rows = [(r, c * a_ / mk_g, c * b_ / mk_p, c * b_ / mk_p - c * a_ / mk_g)
-                    for (r, a_), (_, b_) in zip(cg, cp)]
-            delta = vp - vg
+                    for (r, a_), (_, b_) in zip(cg.per_radius, cp.per_radius)]
+            delta = cp.limit - cg.limit
             reports.append(InvarianceReport(
                 f"center[{axis}]", rows, delta,
                 _drift_slope(radii, [row[3] for row in rows]),
-                center_tol, abs(delta) < center_tol,
-                extra={"center_g": vg, "center_pullback": vp}))
+                CENTER_TOL, abs(delta) < CENTER_TOL,
+                extra={"center_g": cg.limit, "center_pullback": cp.limit}))
     return reports

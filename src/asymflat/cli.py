@@ -4,8 +4,9 @@ tables and JSON reports out.
 One flat JSON config file drives every command; CLI flags override config
 keys.  All randomness is seeded explicitly and the quadrature and summation
 are deterministic, so re-running a command with the same config is
-bit-identical in its JSON output.  Exit codes: 0 success, 1 validation
-failure, 2 numerical non-convergence when --strict is set.
+bit-identical in its JSON output.  `main` alone writes the output and sets
+the exit code: 0 success, 1 validation failure, 2 numerical non-convergence
+or a failed check when --strict is set.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .fields import EuclideanMetric, make_rt_perturbation, make_schwarzschild
 from .gbc import GBCContext
 from .identities import identity_suite
 from .invariants import curvature_center, gbc_center, gbc_mass, gbc_mass_center
-from .parity import rt_check
+from .parity import RT_SLACK, rt_check
 
 __all__ = ["main"]
 
@@ -116,6 +117,11 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"step: must be finite and > 0, got {cfg['step']!r}")
     if cfg["zeta"] not in ("none", "radial", "harmonic"):
         raise ConfigError(f"zeta: unknown family {cfg['zeta']!r}")
+    out, strict = cfg["out"], cfg["strict"]
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out: must be a directory path, got {out!r}")
+    if not isinstance(strict, bool):
+        raise ConfigError(f"strict: must be true or false, got {strict!r}")
 
 
 def parse_radii(spec) -> list[float]:
@@ -164,6 +170,14 @@ def build_diffeo(cfg: dict):
     return make_diffeo(Q=Q, w=w, zeta=zeta, tau_prime=float(cfg["tau_prime"]), n=n)
 
 
+def _flux_inputs(cfg: dict) -> tuple:
+    """The metric, GBC context and radii of a flux command, and the
+    `level`/`step` keywords of its quadrature and extrapolation."""
+    step = None if cfg["step"] is None else float(cfg["step"])
+    return (build_metric(cfg), GBCContext(int(cfg["n"]), int(cfg["k"])),
+            parse_radii(cfg["radii"]), {"level": int(cfg["level"]), "step": step})
+
+
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
@@ -181,74 +195,54 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: dict, command: str, payload: dict, csv_rows: list | None) -> None:
+def _emit(cfg: dict, command: str, payload: dict) -> None:
+    """Write the results JSON, and the CSV table of a `CSV_COMMANDS` command."""
     out = cfg["out"]
-    doc = {"command": command, "config": {k: cfg[k] for k in sorted(DEFAULTS)},
-           "results": payload}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out is None:
         return
     if cfg["format"] in ("json", "both"):
-        _atomic_write(os.path.join(out, f"{command}.json"), text)
-    if cfg["format"] in ("csv", "both") and csv_rows:
+        doc = {"command": command, "config": {k: cfg[k] for k in sorted(DEFAULTS)},
+               "results": payload}
+        _atomic_write(os.path.join(out, f"{command}.json"),
+                      json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    if cfg["format"] in ("csv", "both") and command in CSV_COMMANDS:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows:
-            writer.writerow(row)
+        writer.writerow(["quantity", "r", "value"])
+        for name, res in payload.items():
+            for r, v in res["per_radius"]:
+                writer.writerow([name, repr(float(r)), repr(float(v))])
+            writer.writerow([name, "limit", repr(float(res["limit"]))])
         _atomic_write(os.path.join(out, f"{command}.csv"), buf.getvalue())
 
 
-def _result_csv(results: dict) -> list:
-    rows = [["quantity", "r", "value"]]
-    for name, res in results.items():
-        for r, v in res["per_radius"]:
-            rows.append([name, repr(float(r)), repr(float(v))])
-        rows.append([name, "limit", repr(float(res["limit"]))])
-    return rows
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each prints its table and returns (results payload, ok)
 # ---------------------------------------------------------------------------
 
-def cmd_mass(cfg: dict) -> int:
-    g = build_metric(cfg)
-    ctx = GBCContext(int(cfg["n"]), int(cfg["k"]))
-    radii = parse_radii(cfg["radii"])
-    step = None if cfg["step"] is None else float(cfg["step"])
-    res = gbc_mass(g, ctx, radii, level=int(cfg["level"]), step=step)
+def cmd_mass(cfg: dict) -> tuple[dict, bool]:
+    g, ctx, radii, quad = _flux_inputs(cfg)
+    res = gbc_mass(g, ctx, radii, **quad)
     print(f"mass m_{ctx.k} = {res.limit:.10g} +- {res.residual:.3g}"
           + ("" if res.converged else "  [not converged]"))
     for r, v in res.per_radius:
         print(f"  r = {r:10.1f}   {v:+.10e}")
-    results = {"mass": res.to_dict()}
-    _emit(cfg, "mass", results, _result_csv(results))
-    return 0 if res.converged or not cfg["strict"] else 2
+    return {"mass": res.to_dict()}, res.converged
 
 
-def cmd_center(cfg: dict) -> int:
-    g = build_metric(cfg)
-    ctx = GBCContext(int(cfg["n"]), int(cfg["k"]))
-    radii = parse_radii(cfg["radii"])
-    step = None if cfg["step"] is None else float(cfg["step"])
-    level = int(cfg["level"])
-    results = gbc_center(g, ctx, radii, level=level, step=step)
+def cmd_center(cfg: dict) -> tuple[dict, bool]:
+    g, ctx, radii, quad = _flux_inputs(cfg)
+    results = gbc_center(g, ctx, radii, **quad)
     vec = [res.limit for res in results]
     print("center C =", "[" + ", ".join(f"{v:+.6g}" for v in vec) + "]")
     payload = {f"center[{i}]": r.to_dict() for i, r in enumerate(results)}
-    _emit(cfg, "center", payload, _result_csv(payload))
-    ok = all(r.converged for r in results)
-    return 0 if ok or not cfg["strict"] else 2
+    return payload, all(r.converged for r in results)
 
 
-def cmd_curvcenter(cfg: dict) -> int:
-    g = build_metric(cfg)
-    ctx = GBCContext(int(cfg["n"]), int(cfg["k"]))
-    radii = parse_radii(cfg["radii"])
-    step = None if cfg["step"] is None else float(cfg["step"])
-    level = int(cfg["level"])
-    mass, centers = gbc_mass_center(g, ctx, radii, level=level, step=step)
-    curv = curvature_center(g, ctx, radii, level=level, step=step)
+def cmd_curvcenter(cfg: dict) -> tuple[dict, bool]:
+    g, ctx, radii, quad = _flux_inputs(cfg)
+    mass, centers = gbc_mass_center(g, ctx, radii, **quad)
+    curv = curvature_center(g, ctx, radii, **quad)
     payload = {}
     print("axis   curvature-flux limit     ratio to m_k C^a")
     for i, res in enumerate(curv):
@@ -258,12 +252,10 @@ def cmd_curvcenter(cfg: dict) -> int:
         d = res.to_dict()
         d["ratio"] = float(ratio)
         payload[f"curvcenter[{i}]"] = d
-    _emit(cfg, "curvcenter", payload, _result_csv(payload))
-    ok = all(r.converged for r in curv)
-    return 0 if ok or not cfg["strict"] else 2
+    return payload, all(r.converged for r in curv)
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: dict) -> tuple[dict, bool]:
     checks = identity_suite(int(cfg["n"]), seed=int(cfg["seed"]))
     width = max(len(c.name) for c in checks)
     failures = 0
@@ -277,34 +269,24 @@ def cmd_verify(cfg: dict) -> int:
         sigs = " ".join(f"({c.p},{c.q})" for c in group if not c.passed)
         print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  worst {worst:.2e}"
               + (f"  at {sigs}" if sigs else ""))
-    payload = {"checks": [c.to_dict() for c in checks]}
-    _emit(cfg, "verify", payload, None)
     if failures:
         print(f"{failures} identity group(s) failed")
-        return 2 if cfg["strict"] else 0
-    return 0
+    return {"checks": [c.to_dict() for c in checks]}, failures == 0
 
 
-def cmd_invariance(cfg: dict) -> int:
-    g = build_metric(cfg)
-    ctx = GBCContext(int(cfg["n"]), int(cfg["k"]))
-    radii = parse_radii(cfg["radii"])
-    phi = build_diffeo(cfg)
-    step = None if cfg["step"] is None else float(cfg["step"])
-    reports = invariance_report(g, phi, ctx, radii, level=int(cfg["level"]),
-                                include_center=False, step=step)
+def cmd_invariance(cfg: dict) -> tuple[dict, bool]:
+    g, ctx, radii, quad = _flux_inputs(cfg)
+    reports = invariance_report(g, build_diffeo(cfg), ctx, radii, **quad)
     payload = {}
     for rep in reports:
         flag = "PASS" if rep.passed else "DRIFT"
         print(f"{flag}  {rep.quantity}: delta = {rep.delta_limit:+.3e}, "
               f"drift slope = {rep.drift_slope:+.3f}")
         payload[rep.quantity] = rep.to_dict()
-    _emit(cfg, "invariance", payload, None)
-    ok = all(rep.passed for rep in reports)
-    return 0 if ok or not cfg["strict"] else 2
+    return payload, all(rep.passed for rep in reports)
 
 
-def cmd_rtcheck(cfg: dict) -> int:
+def cmd_rtcheck(cfg: dict) -> tuple[dict, bool]:
     g = build_metric(cfg)
     radii = parse_radii(cfg["radii"])
     reports = rt_check(g, float(cfg["tau"]), int(cfg["ell"]), radii)
@@ -312,12 +294,11 @@ def cmd_rtcheck(cfg: dict) -> int:
     for rep in reports:
         flag = "PASS" if rep.passed else "FAIL"
         print(f"{flag}  {rep.component}: slope {rep.slope:+.3f} "
-              f"(need <= {rep.required + 0.1:+.3f}), odd slope {rep.odd_slope:+.3f} "
-              f"(need <= {rep.required_odd + 0.1:+.3f})")
+              f"(need <= {rep.required + RT_SLACK:+.3f}), "
+              f"odd slope {rep.odd_slope:+.3f} "
+              f"(need <= {rep.required_odd + RT_SLACK:+.3f})")
         payload[rep.component] = rep.to_dict()
-    _emit(cfg, "rtcheck", payload, None)
-    ok = all(rep.passed for rep in reports)
-    return 0 if ok or not cfg["strict"] else 2
+    return payload, all(rep.passed for rep in reports)
 
 
 COMMANDS = {
@@ -373,13 +354,12 @@ def main(argv=None) -> int:
         if cfg["format"] == "csv" and args.command not in CSV_COMMANDS:
             raise ConfigError(f"format: {args.command} writes no CSV table; "
                               f"use json or both")
-        return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+        payload, ok = COMMANDS[args.command](cfg)
+        _emit(cfg, args.command, payload)
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0 if ok or not cfg["strict"] else 2
 
 
 if __name__ == "__main__":

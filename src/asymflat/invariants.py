@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -448,7 +448,6 @@ class InvariantResult:
     residual: float
     constant_used: float = 1.0
     converged: bool = True
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -458,25 +457,27 @@ class InvariantResult:
             "residual": float(self.residual),
             "constant_used": float(self.constant_used),
             "converged": bool(self.converged),
-            **self.extra,
         }
 
 
-def _adaptive_integral(n: int, r: float, level: int, f,
-                       rtol: float = 1e-8, max_refinements: int = 3):
+REFINE_RTOL = 1e-8   # agreement of two successive levels, per component
+MAX_REFINEMENTS = 3
+
+
+def _adaptive_integral(n: int, r: float, level: int, f):
     """Sphere integral at `level`, checked one level down, refined if unsettled.
 
     Q_level is returned when it agrees with Q_{level-1} to
-    `rtol * max(|Q|, 1)` in every component: the gap measures the coarser
-    rule's error, which for a spectrally convergent rule bounds that of
-    Q_level (Davis & Rabinowitz, Methods of Numerical Integration, ch. 5).
+    `REFINE_RTOL * max(|Q|, 1)` in every component: the gap measures the
+    coarser rule's error, which for a spectrally convergent rule bounds that
+    of Q_level (Davis & Rabinowitz, Methods of Numerical Integration, ch. 5).
     Otherwise, and at level 2, where no coarser rule exists, the level grows
     by max(2, level // 2) (about 1.5x nodes per angle) until two successive
     values agree, and the last is returned.  A value still unsettled after
-    `max_refinements` steps is returned with a RuntimeWarning.
+    `MAX_REFINEMENTS` steps is returned with a RuntimeWarning.
     """
     def settled(new, old):
-        return np.all(np.abs(new - old) <= rtol * np.maximum(np.abs(new), 1.0))
+        return np.all(np.abs(new - old) <= REFINE_RTOL * np.maximum(np.abs(new), 1.0))
 
     val = integrate_sphere(sphere_rule(n, r, level), f)
     last = np.nan  # level 2 has no coarser rule to check against
@@ -484,7 +485,7 @@ def _adaptive_integral(n: int, r: float, level: int, f,
         last = integrate_sphere(sphere_rule(n, r, level - 1), f)
         if settled(val, last):
             return val
-    for _ in range(max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         level += max(2, level // 2)
         last, val = val, integrate_sphere(sphere_rule(n, r, level), f)
         if settled(val, last):
@@ -510,9 +511,17 @@ def _curves(g: MetricField, n: int, radii, level: int, integrand,
             for c in range(rows[0].size)]
 
 
-def _flag_convergence(limit: float, residual: float, per_radius: list) -> bool:
+def _result(per_radius: list, step: float | None, constant: float = 1.0,
+            mass: float = 1.0) -> InvariantResult:
+    """The extrapolated limit of one per-radius curve, reported as
+    `constant * limit / mass`; `converged` when the fit residual is within
+    10 % of the curve's scale."""
+    limit, s, resid = extrapolate(per_radius, step=step)
     scale = max(abs(limit), max(abs(v) for _, v in per_radius), 1e-30)
-    return residual <= 0.1 * scale + 1e-9
+    return InvariantResult(per_radius, constant * limit / mass, s,
+                           abs(constant) * resid / abs(mass),
+                           constant_used=constant,
+                           converged=resid <= 0.1 * scale + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +563,6 @@ def _raw_flux_curves(g: MetricField, ctx: GBCContext, radii, level: int,
                    mass_prefactor(ctx.n), ctx=ctx, center=center)
 
 
-def _raw_mass_curve(g: MetricField, ctx: GBCContext, radii, level: int) -> list:
-    return _raw_flux_curves(g, ctx, radii, level, center=False)[0]
-
-
 def _check_mass(g: MetricField, ctx: GBCContext) -> None:
     if ctx.n < 2 * ctx.k + 1:
         raise ValueError("mass needs n >= 2k + 1")
@@ -569,28 +574,12 @@ def _check_mass(g: MetricField, ctx: GBCContext) -> None:
             stacklevel=3)
 
 
-def _mass_result(per_radius: list, ctx: GBCContext, step: float | None) -> InvariantResult:
-    limit, s, resid = extrapolate(per_radius, step=step)
-    a = calibration_constants(ctx.n, ctx.k)["a"]
-    return InvariantResult(per_radius, a * limit, s, abs(a) * resid,
-                           constant_used=a,
-                           converged=_flag_convergence(limit, resid, per_radius))
-
-
 def _center_results(curves: list, ctx: GBCContext, mass: InvariantResult,
                     step: float | None) -> list[InvariantResult]:
-    mk = mass.limit
-    if abs(mk) < 1e-12:
+    if abs(mass.limit) < 1e-12:
         raise ValueError("center of mass undefined: vanishing mass")
     c = calibration_constants(ctx.n, ctx.k)["c"]
-    results = []
-    for per_radius in curves:
-        limit, s, resid = extrapolate(per_radius, step=step)
-        results.append(InvariantResult(
-            per_radius, c * limit / mk, s, abs(c) * resid / abs(mk),
-            constant_used=c,
-            converged=_flag_convergence(limit, resid, per_radius)))
-    return results
+    return [_result(per_radius, step, c, mass.limit) for per_radius in curves]
 
 
 def gbc_mass(g: MetricField, ctx: GBCContext, radii, level: int = 8,
@@ -602,17 +591,16 @@ def gbc_mass(g: MetricField, ctx: GBCContext, radii, level: int = 8,
     generalized Schwarzschild family); by default the spacing is profiled.
     """
     _check_mass(g, ctx)
-    return _mass_result(_raw_mass_curve(g, ctx, radii, level), ctx, step)
+    return _result(_raw_flux_curves(g, ctx, radii, level, center=False)[0], step,
+                   calibration_constants(ctx.n, ctx.k)["a"])
 
 
 def adm_mass_coordinate(g: MetricField, radii, level: int = 8) -> InvariantResult:
     """ADM mass from the coordinate integrand; an independent k=1 oracle."""
     n = g.n
     pref = 1.0 / (2.0 * (n - 1) * sphere_volume(n))
-    per_radius = _curves(g, n, radii, level, adm_integrand_coordinate, pref)[0]
-    limit, s, resid = extrapolate(per_radius)
-    return InvariantResult(per_radius, limit, s, resid,
-                           converged=_flag_convergence(limit, resid, per_radius))
+    return _result(_curves(g, n, radii, level, adm_integrand_coordinate, pref)[0],
+                   step=None)
 
 
 def gbc_mass_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
@@ -621,35 +609,25 @@ def gbc_mass_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
     """The mass m_k and the per-axis center C^i from one pass per radius."""
     _check_mass(g, ctx)
     curves = _raw_flux_curves(g, ctx, radii, level)
-    mass = _mass_result(curves[0], ctx, step)
+    mass = _result(curves[0], step, calibration_constants(ctx.n, ctx.k)["a"])
     return mass, _center_results(curves[1:], ctx, mass, step)
 
 
 def gbc_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
-               mass: InvariantResult | None = None,
                step: float | None = None) -> list[InvariantResult]:
     """Per-axis center of mass C^i = c_{n,k} (raw limit)_i / m_k.
 
-    Every axis comes from one pass per radius, and so does the mass when
-    `mass` is not given.
+    The mass and every axis come from one pass per radius; use
+    `gbc_mass_center` to keep the mass as well.
     """
-    if mass is None:
-        return gbc_mass_center(g, ctx, radii, level, step)[1]
-    return _center_results(_raw_flux_curves(g, ctx, radii, level)[1:], ctx,
-                           mass, step)
+    return gbc_mass_center(g, ctx, radii, level, step)[1]
 
 
 def curvature_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
                      step: float | None = None) -> list[InvariantResult]:
     """Per-axis limits of the Lovelock flux against the conformal Killing fields."""
-    results = []
-    for per_radius in _curves(g, ctx.n, radii, level,
-                              curvature_center_integrand, ctx=ctx):
-        limit, s, resid = extrapolate(per_radius, step=step)
-        results.append(InvariantResult(
-            per_radius, limit, s, resid,
-            converged=_flag_convergence(limit, resid, per_radius)))
-    return results
+    return [_result(per_radius, step) for per_radius in
+            _curves(g, ctx.n, radii, level, curvature_center_integrand, ctx=ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +648,7 @@ def measure_calibration(n: int, k: int, radii=None, level: int = 8) -> dict[str,
     step = 1.0 / k  # the model family expands in integer powers of r^{-1/k}
     g = make_schwarzschild(n, k, 1.0)
     ctx = GBCContext(n, k)
-    raw = _raw_mass_curve(g, ctx, radii, level)
+    raw = _raw_flux_curves(g, ctx, radii, level, center=False)[0]
     limit, _, _ = extrapolate(raw, step=step)
     a = 1.0 / limit
 

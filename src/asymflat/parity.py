@@ -129,12 +129,14 @@ def _tensor_norm(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(arr * arr, axis=tuple(range(1, arr.ndim))))
 
 
-def rt_check(g: MetricField, tau: float, ell: int, radii,
-             samples_per_sphere: int = 128, slack: float = 0.1) -> list[ParityReport]:
+RT_SLACK = 0.1  # how far rt_check lets a fitted slope sit above its rate
+
+
+def rt_check(g: MetricField, tau: float, ell: int, radii) -> list[ParityReport]:
     """Parity-graded decay reports for e, de, ..., d^ell e.
 
     Order m must decay like r^(-tau-m) and its odd part one order faster,
-    r^(-tau-1-m); a slope passes when it is within `slack` of the
+    r^(-tau-1-m); a slope passes when it is within `RT_SLACK` of the
     requirement.  The pullback of an m-th derivative array picks up the
     sign (-1)^m on top of the (p+q)-sign of the deviation itself.
     """
@@ -142,7 +144,7 @@ def rt_check(g: MetricField, tau: float, ell: int, radii,
         raise ValueError(
             f"rt_check to order {ell} needs regularity >= {ell}, got {g.regularity}")
     radii = [float(r) for r in radii]
-    dirs = sphere_sample(g.n, samples_per_sphere)
+    dirs = sphere_sample(g.n)
     # one jet at the sampled points of each sphere and one at their
     # antipodes; sups[m] holds the full, even and odd sups of order m
     sups = np.empty((ell + 1, 3, len(radii)))
@@ -167,7 +169,7 @@ def rt_check(g: MetricField, tau: float, ell: int, radii,
         odd_slope = _slope_of_sups(radii, odd_sups, floor=floor)
         req = -(tau + m)
         req_odd = -(tau + 1.0 + m)
-        passed = (slope <= req + slack) and (odd_slope <= req_odd + slack)
+        passed = (slope <= req + RT_SLACK) and (odd_slope <= req_odd + RT_SLACK)
         reports.append(ParityReport(names[m], slope, even_slope, odd_slope,
                                     req, req_odd, radii, passed))
     return reports

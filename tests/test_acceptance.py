@@ -5,11 +5,9 @@ per criterion.  Tolerances are stated inline; radii schedules are dyadic
 r0 * 2^j unless a docstring says otherwise.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 from scipy.stats import ortho_group
 
 from asymflat.chartchange import (
@@ -28,7 +26,7 @@ from asymflat.curvature import (
     riemann,
     riemann_jet,
 )
-from asymflat.dforms import PointMetric, bianchi, contract, inner, transpose
+from asymflat.dforms import PointMetric, bianchi, contract, inner
 from asymflat.fields import (
     TensorRadialPoly,
     make_rt_perturbation,

@@ -12,7 +12,7 @@ from asymflat.chartchange import (
 )
 from asymflat.fields import EuclideanMetric, make_schwarzschild
 from asymflat.gbc import GBCContext
-from asymflat.invariants import gbc_mass
+from asymflat.invariants import gbc_mass, gbc_mass_center
 
 from conftest import (
     CountingMetric,
@@ -160,6 +160,19 @@ def test_negative_control_slow_zeta_drifts():
     reports = invariance_report(g, phi, ctx, RADII, step=1.0)
     assert not reports[0].passed
     assert reports[0].drift_slope > -0.5
+
+
+@pytest.mark.parametrize("step", [1.0, None])
+def test_invariance_report_limits_are_those_of_gbc_mass_center(step):
+    # both entry points build their limits through one result path
+    g = make_schwarzschild(3, 1, 1.0, center=[0.3, -0.2, 0.1])
+    ctx = GBCContext(3, 1)
+    phi = make_diffeo(zeta=zeta_harmonic(3, 0.2, 1.0), tau_prime=1.0, n=3)
+    reports = invariance_report(g, phi, ctx, RADII, level=4, include_center=True,
+                                step=step)
+    mass, centers = gbc_mass_center(g, ctx, RADII, level=4, step=step)
+    assert reports[0].extra["mass_g"] == mass.limit
+    assert [rep.extra["center_g"] for rep in reports[1:]] == [c.limit for c in centers]
 
 
 def test_invariance_report_serialization():

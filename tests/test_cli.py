@@ -6,7 +6,12 @@ import sys
 import pytest
 
 import asymflat
+from asymflat import cli
+from asymflat.chartchange import InvarianceReport
 from asymflat.cli import DEFAULTS, ConfigError, _validate, main, parse_radii
+from asymflat.identities import IdentityCheck
+from asymflat.invariants import _result
+from asymflat.parity import ParityReport
 
 
 def run(args, capsys):
@@ -113,6 +118,8 @@ def test_invalid_flag_value_exits_1(capsys):
     ("mass", {"step": 0.0}, "step"),
     ("mass", {"step": -1.0}, "step"),
     ("mass", {"step": "nan"}, "step"),
+    ("mass", {"out": 5}, "out"),
+    ("mass", {"strict": "no"}, "strict"),
 ])
 def test_invalid_config_value_exits_1(capsys, tmp_path, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -188,6 +195,37 @@ def test_rtcheck_strict_failure_exits_2(capsys, tmp_path):
     code, out, _ = run(["rtcheck", "--config", str(cfg), "--strict"], capsys)
     assert code == 2
     assert "FAIL" in out
+
+
+def _failed(command):
+    """A not-converged or failed result of the library call behind `command`."""
+    res = _result([(20.0, 1.0), (40.0, -1.0), (80.0, 1.0), (160.0, -1.0)], 1.0)
+    assert not res.converged
+    if command == "mass":
+        return res
+    if command in ("center", "curvcenter"):
+        return [res] * 3
+    if command == "verify":
+        return [IdentityCheck("bianchi", 3, 2, 2, 1.0, 1e-12)]
+    if command == "invariance":
+        return [InvarianceReport("mass", [(20.0, 1.0, 1.1, 0.1)], 0.1, 0.0, 1e-3, False)]
+    return [ParityReport("e", 0.0, 0.0, 0.0, -1.0, -2.0, [20.0], False)]
+
+
+@pytest.mark.parametrize("command, call", [
+    ("mass", "gbc_mass"), ("center", "gbc_center"),
+    ("curvcenter", "curvature_center"), ("verify", "identity_suite"),
+    ("invariance", "invariance_report"), ("rtcheck", "rt_check"),
+])
+def test_a_failed_result_exits_2_under_strict_only(capsys, tmp_path, monkeypatch,
+                                                   command, call):
+    monkeypatch.setattr(cli, call, lambda *args, **kwargs: _failed(command))
+    args = [command, "--n", "3", "--radii", "20:3", "--level", "3", "--step", "1"]
+    for strict, expected in ((["--strict"], 2), ([], 0)):
+        out = tmp_path / f"out{expected}"
+        assert run(args + strict + ["--out", str(out)], capsys)[0] == expected
+        doc = json.loads((out / f"{command}.json").read_text())
+        assert doc["command"] == command and doc["config"]["strict"] == bool(strict)
 
 
 def test_invariance_command(capsys, tmp_path):

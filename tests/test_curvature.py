@@ -30,11 +30,9 @@ from asymflat.dforms import (
     PointMetric,
     bianchi,
     coform,
-    contract,
     derivation_action,
     form,
     hodge,
-    inner,
     transpose,
     wedge,
 )

@@ -94,7 +94,7 @@ def test_integrate_sphere_deterministic():
 # refinement: each radius is checked one level down, escalated if unsettled
 # ---------------------------------------------------------------------------
 
-RTOL = 1e-8  # _adaptive_integral's default per-component test
+RTOL = invariants.REFINE_RTOL  # _adaptive_integral's per-component test
 
 
 def upward_integral(n, r, level, f, rtol=RTOL, max_refinements=3):
@@ -375,8 +375,7 @@ def test_curvature_center_ratio_constant():
     c = np.array([0.6, 0.0, -0.4])
     g = make_schwarzschild(3, 1, 1.0, center=c)
     ctx = GBCContext(3, 1)
-    mass = gbc_mass(g, ctx, RADII, step=1.0)
-    cen = gbc_center(g, ctx, RADII, mass=mass, step=1.0)
+    mass, cen = gbc_mass_center(g, ctx, RADII, step=1.0)
     cc = curvature_center(g, ctx, RADII, step=1.0)
     b = calibration_constants(3, 1)["b"]
     for axis in (0, 2):
