@@ -97,6 +97,12 @@ def _validate(cfg: dict) -> None:
         if isinstance(v, bool) or not (isinstance(v, int)
                                        or isinstance(v, float) and v.is_integer()):
             raise ConfigError(f"{key}: must be an integer, got {v!r}")
+    for key in ("m", "tau", "amplitude", "zeta_c", "tau_prime"):
+        v = cfg[key]
+        # the bound refuses nan, infinities and integers past float range
+        if isinstance(v, bool) or not (isinstance(v, (int, float))
+                                       and abs(v) <= sys.float_info.max):
+            raise ConfigError(f"{key}: must be a finite number, got {v!r}")
     if cfg["metric"] not in ("schwarzschild", "flat", "rt"):
         raise ConfigError(f"metric: unknown family {cfg['metric']!r}")
     if not 3 <= int(cfg["n"]) <= 8:

@@ -1,3 +1,4 @@
+import math
 from itertools import product as iter_product
 
 import numpy as np
@@ -16,6 +17,7 @@ from asymflat.fields import (
     make_rt_perturbation,
     make_schwarzschild,
 )
+from asymflat.invariants import _jacobi_rule
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +400,37 @@ def derived_depth(T: TensorRadialPoly) -> int:
     while T._deriv is not None:
         T, depth = T._deriv, depth + 1
     return depth
+
+
+# ---------------------------------------------------------------------------
+# tensor-product sphere rule, built per radius as before the unit-rule cache
+# ---------------------------------------------------------------------------
+
+def tensor_sphere_rule(n, r, level):
+    """(points, weights, normals) of the product Gauss rule on the sphere of
+    radius r: Gauss-Jacobi in each polar cosine, 2 * level equispaced
+    azimuths; exact to degree 2 * level - 1 at every n."""
+    ts = []
+    ws = []
+    for j in range(1, n - 1):
+        u, w = _jacobi_rule(level, (n - 1 - j - 1) / 2.0)
+        ts.append(u)
+        ws.append(w)
+    phi = (2.0 * math.pi / (2 * level)) * np.arange(2 * level)
+    wphi = np.full(2 * level, 2.0 * math.pi / (2 * level))
+    grids = np.meshgrid(*ts, phi, indexing="ij")
+    wgrids = np.meshgrid(*ws, wphi, indexing="ij")
+    shape = grids[0].shape
+    x = np.empty(shape + (n,))
+    sin_prod = np.ones(shape)
+    for j in range(n - 2):
+        u = grids[j]
+        x[..., j] = sin_prod * u
+        sin_prod = sin_prod * np.sqrt(np.maximum(1.0 - u * u, 0.0))
+    x[..., n - 2] = sin_prod * np.cos(grids[n - 2])
+    x[..., n - 1] = sin_prod * np.sin(grids[n - 2])
+    w = np.ones(shape)
+    for j in range(n - 1):
+        w = w * wgrids[j]
+    normals = x.reshape(-1, n)
+    return r * normals, (r ** (n - 1)) * w.reshape(-1), normals

@@ -120,6 +120,12 @@ def test_invalid_flag_value_exits_1(capsys):
     ("mass", {"step": "nan"}, "step"),
     ("mass", {"out": 5}, "out"),
     ("mass", {"strict": "no"}, "strict"),
+    ("mass", {"m": None}, "m"),
+    ("mass", {"m": True}, "m"),
+    ("rtcheck", {"metric": "rt", "tau": "nan"}, "tau"),
+    ("rtcheck", {"metric": "rt", "amplitude": [0.1]}, "amplitude"),
+    ("invariance", {"zeta": "radial", "zeta_c": "abc"}, "zeta_c"),
+    ("invariance", {"tau_prime": float("inf")}, "tau_prime"),
 ])
 def test_invalid_config_value_exits_1(capsys, tmp_path, command, cfg, key):
     path = tmp_path / "cfg.json"

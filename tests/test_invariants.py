@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -26,9 +27,12 @@ from asymflat.invariants import (
     integrate_sphere,
     mass_integrand,
     mass_integrand_alt,
+    SphereRule,
     sphere_rule,
     sphere_volume,
 )
+
+from conftest import tensor_sphere_rule
 
 RADII = [20.0 * 2**j for j in range(5)]
 
@@ -91,6 +95,111 @@ def test_integrate_sphere_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# unit rules: tensor product at n <= 4, fully symmetric at n >= 5
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tensor_rule_is_bit_identical_to_the_per_radius_construction(n):
+    for level in (2, 5, 8):
+        for r in (1.0, 20.0, 5120.0):
+            rule = sphere_rule(n, r, level)
+            points, weights, normals = tensor_sphere_rule(n, r, level)
+            assert rule.level == level
+            assert np.array_equal(rule.points, points)
+            assert np.array_equal(rule.normals, normals)
+            assert np.array_equal(rule.weights, weights)
+
+
+def sphere_moment(n, a):
+    """int_{S^{n-1}} prod_i x_i^(2 a_i) = 2 prod_i Gamma(a_i + 1/2) / Gamma(|a| + n/2)."""
+    return (2.0 * math.prod(math.gamma(ai + 0.5) for ai in a)
+            * math.gamma(0.5) ** (n - len(a)) / math.gamma(sum(a) + n / 2.0))
+
+
+def partitions(s, largest):
+    """Partitions of s with parts at most `largest`, largest part first."""
+    if s == 0:
+        yield ()
+    for first in range(min(s, largest), 0, -1):
+        for rest in partitions(s - first, first):
+            yield (first,) + rest
+
+
+def unit_moment(rule, a):
+    """The rule's value of x^(2a) (leading coordinates) on the unit sphere."""
+    terms = np.ones(rule.weights.shape)
+    for i, ai in enumerate(a):
+        terms = terms * rule.points[:, i] ** (2 * ai)
+    return rule.weights @ terms
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_symmetric_rule_has_degree_2_level_minus_1(n):
+    # a fully symmetric rule integrates every odd monomial to 0 and is
+    # invariant under permutations, so the even monomials x^(2a) with
+    # |a| <= level - 1 reduce to partitions a, each checked in two placements
+    for level in range(2, 9):
+        rule = sphere_rule(n, 1.0, level)
+        for s in range(level):
+            for a in partitions(s, s):
+                if len(a) > n:
+                    continue
+                exact = sphere_moment(n, a)
+                for placed in (a, (0,) * (n - len(a)) + a[::-1]):
+                    got = unit_moment(rule, placed)
+                    assert abs(got - exact) <= 1e-12 * exact, (level, placed)
+        # x_1^(2 level) is of degree 2 level: no longer exact
+        exact = sphere_moment(n, (level,))
+        assert abs(unit_moment(rule, (level,)) - exact) > 1e-6 * exact
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_symmetric_rule_nodes_lie_on_the_sphere(n):
+    for level in (2, 4, 8):
+        rule = sphere_rule(n, 3.0, level)
+        assert np.abs(np.linalg.norm(rule.normals, axis=1) - 1.0).max() <= 4e-16
+        assert np.array_equal(rule.points, 3.0 * rule.normals)
+        assert not rule.normals.flags.writeable
+
+
+def test_symmetric_rule_node_counts():
+    # every permutation and sign change of every partition of level - 1 into
+    # at most n parts, against 2 level^(n-1) nodes of the tensor rule
+    counts = {n: [sphere_rule(n, 1.0, level).points.shape[0] for level in (2, 3, 4, 5)]
+              for n in (5, 6, 8)}
+    assert counts == {5: [10, 50, 170, 450], 6: [12, 72, 292, 912],
+                      8: [16, 128, 688, 2816]}
+
+
+def test_unit_rule_rebuild_is_bit_identical():
+    keys = [(n, level) for n in (4, 5, 7) for level in (3, 6)]
+    before = {key: sphere_rule(key[0], 20.0, key[1]) for key in keys}
+    sphere_rule.cache_clear()
+    invariants._unit_rule.cache_clear()
+    for (n, level), rule in before.items():
+        again = sphere_rule(n, 20.0, level)
+        assert again.normals is not rule.normals
+        for name in ("points", "weights", "normals"):
+            assert np.array_equal(getattr(again, name), getattr(rule, name))
+
+
+@pytest.mark.parametrize("n, k, integrand", [
+    (5, 2, _flux_integrands),
+    (6, 2, _flux_integrands),
+    (5, 2, curvature_center_integrand),
+])
+def test_symmetric_rule_matches_the_level_7_tensor_rule_on_fluxes(n, k, integrand):
+    g = make_schwarzschild(n, k, 1.1, center=np.linspace(0.4, -0.2, n))
+    kwargs = {"center": True} if integrand is _flux_integrands else {}
+    f = partial(integrand, g, ctx=GBCContext(n, k), **kwargs)
+    r = 20.0
+    ref = integrate_sphere(SphereRule(n, r, 7, *tensor_sphere_rule(n, r, 7)), f)
+    got = integrate_sphere(sphere_rule(n, r, 4), f)
+    rtol = invariants.REFINE_RTOL
+    assert np.all(np.abs(got - ref) <= rtol * np.maximum(np.abs(ref), 1.0))
+
+
+# ---------------------------------------------------------------------------
 # refinement: each radius is checked one level down, escalated if unsettled
 # ---------------------------------------------------------------------------
 
@@ -115,8 +224,7 @@ def spy_passes(monkeypatch):
     passes = []
 
     def spy(rule, f, *args, **kwargs):
-        level = round((rule.points.shape[0] / 2) ** (1 / (rule.n - 1)))
-        passes.append((level, f))
+        passes.append((rule.level, f))
         return integrate_sphere(rule, f, *args, **kwargs)
 
     monkeypatch.setattr(invariants, "integrate_sphere", spy)
@@ -137,7 +245,7 @@ def test_settled_radius_evaluates_its_level_and_the_one_below(monkeypatch):
         val = _adaptive_integral(5, r, 4, counting)
         monkeypatch.undo()
         assert passes == [(4, counting), (3, counting)]
-        assert nodes == [4**3 * 8, 3**3 * 6]
+        assert nodes == [170, 50]
         assert np.array_equal(val, integrate_sphere(sphere_rule(5, r, 4), counting))
 
 
@@ -188,6 +296,72 @@ def test_pullback_and_curvature_center_curves_stay_within_the_refinement_test():
             got = _adaptive_integral(dim, r, level, f)
             ref = integrate_sphere(sphere_rule(dim, r, finer), f)
             assert np.all(np.abs(got - ref) <= RTOL * np.maximum(np.abs(ref), 1.0))
+
+
+def _chunk_cases():
+    """(n, k, level, integrand) on a translated Schwarzschild, a pullback and
+    the Lovelock path."""
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+    phi = make_diffeo(Q=Q, w=np.array([0.4, -0.3, 0.2, 0.1]),
+                      zeta=zeta_harmonic(4, 0.25, 1.6), tau_prime=1.6, n=4)
+    g4 = make_schwarzschild(4, 1, 1.2, center=np.array([0.3, 0, 0, -0.2]))
+    g5 = make_schwarzschild(5, 2, 1.3, center=np.array([0.4, 0.0, -0.2, 0.1, 0.0]))
+    ctx4, ctx5 = GBCContext(4, 1), GBCContext(5, 2)
+    return [(5, 2, 4, partial(_flux_integrands, g5, ctx=ctx5, center=True)),
+            (4, 1, 6, partial(_flux_integrands, pullback_metric(phi, g4), ctx=ctx4,
+                              center=True)),
+            (4, 1, 5, partial(curvature_center_integrand, g4, ctx=ctx4))]
+
+
+def test_budgeted_chunks_leave_k1_integrals_bit_identical():
+    # at n = 4 a chunk is 512 nodes, so the 686-node level-7 rule splits
+    assert invariants._chunk_nodes(4, 1) == 512
+    rule = sphere_rule(4, 40.0, 7)
+    for _, _, _, f in _chunk_cases()[1:]:
+        assert np.array_equal(integrate_sphere(rule, f, 512), integrate_sphere(rule, f))
+
+
+def test_chunked_52_flux_keeps_the_mass_and_moves_the_center_in_the_last_bits():
+    _, _, level, f = _chunk_cases()[0]
+    rule = sphere_rule(5, 40.0, level)
+    whole = integrate_sphere(rule, f)
+    for chunk in (7, invariants._chunk_nodes(5, 2)):
+        got = integrate_sphere(rule, f, chunk)
+        assert got[0] == whole[0]
+        assert np.all(np.abs(got - whole) <= 1e-14 * np.max(np.abs(whole)))
+
+
+def test_chunk_estimate_bounds_the_traced_bytes_per_node():
+    for n, k, level, f in _chunk_cases():
+        rule = sphere_rule(n, 40.0, level)
+        peaks = []
+        for size in (8, 32):
+            x, nu = rule.points[:size], rule.normals[:size]
+            f(x, nu)  # kernels and index tables are built on first use
+            tracemalloc.start()
+            try:
+                f(x, nu)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_node = (peaks[1] - peaks[0]) / 24
+        assert per_node <= 3 * 8 * math.comb(2 * k, k) * n**4
+
+
+def test_flux_curves_call_the_integrand_in_budgeted_chunks(monkeypatch):
+    ctx = GBCContext(5, 2)
+    g = make_schwarzschild(5, 2, 1.3, center=np.array([0.4, 0.0, -0.2, 0.1, 0.0]))
+    sizes = []
+
+    def counting(g, x, nu, ctx, center):
+        sizes.append(x.shape[0])
+        return _flux_integrands(g, x, nu, ctx, center)
+
+    monkeypatch.setattr(invariants, "_flux_integrands", counting)
+    invariants._raw_flux_curves(g, ctx, [20.0], 4, center=False)
+    # a settled radius: the 170 level-4 nodes, then the 50 of level 3
+    assert invariants._chunk_nodes(5, 2) == 69
+    assert sizes == [69, 69, 32, 50]
 
 
 # ---------------------------------------------------------------------------
