@@ -5,13 +5,13 @@ of strictly increasing multi-indices, with component array shape
 ``batch + (C(n,p), C(n,q))``; all operations broadcast over leading batch
 axes.  Products use the determinant convention (shuffle sums, no factorial
 division), which is pinned by the identity ``star(g^k) = k!/(n-k)! g^(n-k)``.
-The wedge, the flat Hodge star, the Bianchi maps and the dx-insertions
-behind D and D~ read the signed splits of `multiindex.shuffle_table` as
-gathers (the Bianchi contraction as a scatter); no dense product, star or
-interior-product matrix is formed on those paths.  The wedge gathers from
-copies of its operands with the batch axes last, so each gathered entry is
-one contiguous row over the batch.  The dense `interior_tensor` is read only
-by `contract`, `interior` and `multiindex.derivation_tensor`.
+The wedge, the flat Hodge star, the dx-insertions behind D and D~ and the
+one interior-product primitive `_interiors` read the signed splits of
+`multiindex.shuffle_table` as gathers; `contract`, `interior`, the Bianchi
+maps and `derivation_action` are built from `_interiors` and the
+insertions, and no dense product, star or interior-product matrix is
+formed.  The wedge gathers from copies of its operands with the batch axes
+last, so each gathered entry is one contiguous row over the batch.
 
 Metric-dependent operations take a :class:`PointMetric` G and use no frame:
 they raise the left block with the compound matrix of G^-1, apply the
@@ -23,16 +23,12 @@ metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .multiindex import (
-    compound_matrix,
-    derivation_tensor,
-    interior_tensor,
-    shuffle_table,
-)
+from .multiindex import compound_matrix, shuffle_table
 
 __all__ = [
     "DoubleForm",
@@ -212,7 +208,7 @@ def wedge_power(a: DoubleForm, k: int) -> DoubleForm:
 
 
 def transpose(a: DoubleForm) -> DoubleForm:
-    return DoubleForm(a.n, a.q, a.p, np.swapaxes(a.comps, -1, -2))
+    return DoubleForm(a.n, a.q, a.p, _transposed(a.comps))
 
 
 def _hodge_identity(a: DoubleForm) -> DoubleForm:
@@ -247,16 +243,17 @@ def contract(a: DoubleForm, G: PointMetric | None = None) -> DoubleForm:
     """Metric trace pairing one left with one right slot (adjoint of g-wedge)."""
     if a.p < 1 or a.q < 1:
         raise DegreeError("contraction needs p >= 1 and q >= 1")
-    TL = interior_tensor(a.n, a.p)
-    TR = interior_tensor(a.n, a.q)
-    # iota_k on the left block, as one matmul: (..., k, a, B)
-    comps = (TL.reshape(-1, TL.shape[-1]) @ a.comps).reshape(
-        a.comps.shape[:-2] + TL.shape[:2] + a.comps.shape[-1:])
+    n = a.n
+    comps = _interiors(n, a.p, a.comps)  # iota_k on the left block: (..., k, a, B)
     if G is not None:  # pair k with l through G^-1
         comps = np.einsum("...kl,...kaB->...laB", np.linalg.inv(G.G), comps)
-    # iota_l on the right block, summed over l
-    comps = (comps @ np.swapaxes(TR, -1, -2)).sum(axis=-3)
-    return DoubleForm(a.n, a.p - 1, a.q - 1, comps)
+    # iota_l on the right block of slice l, summed over l; numpy's order of
+    # summation follows the memory layout, so the buffer is C-contiguous
+    traced = np.empty(comps.shape[:-1] + (comb(n, a.q - 1),))
+    for l in range(n):
+        right = _interiors(n, a.q, _transposed(comps[..., l, :, :]), l)
+        traced[..., l, :, :] = _transposed(right)
+    return DoubleForm(n, a.p - 1, a.q - 1, traced.sum(axis=-3))
 
 
 def inner(a: DoubleForm, b: DoubleForm, G: PointMetric | None = None) -> np.ndarray:
@@ -269,7 +266,7 @@ def inner(a: DoubleForm, b: DoubleForm, G: PointMetric | None = None) -> np.ndar
     if G is not None:
         Ginv = np.linalg.inv(G.G)
         comps = (compound_matrix(Ginv, a.p) @ comps
-                 @ np.swapaxes(compound_matrix(Ginv, a.q), -1, -2))
+                 @ _transposed(compound_matrix(Ginv, a.q)))
     return np.einsum("...ij,...ij->...", comps, b.comps)
 
 
@@ -279,16 +276,49 @@ def interior(X: np.ndarray, a: DoubleForm, side: str = "left") -> DoubleForm:
     if side == "left":
         if a.p < 1:
             raise DegreeError("left interior product needs p >= 1")
-        T = interior_tensor(a.n, a.p)
-        comps = np.einsum("...k,kaA,...Aj->...aj", X, T, a.comps)
+        comps = np.einsum("...k,...kaj->...aj", X, _interiors(a.n, a.p, a.comps))
         return DoubleForm(a.n, a.p - 1, a.q, comps)
     if side == "right":
         if a.q < 1:
             raise DegreeError("right interior product needs q >= 1")
-        T = interior_tensor(a.n, a.q)
-        comps = np.einsum("...k,kbB,...iB->...ib", X, T, a.comps)
+        comps = np.einsum("...k,...kbi->...ib", X,
+                          _interiors(a.n, a.q, _transposed(a.comps)))
         return DoubleForm(a.n, a.p, a.q - 1, comps)
     raise ValueError("side must be 'left' or 'right'")
+
+
+@lru_cache(maxsize=None)
+def _interior_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The splits of `shuffle_table(n, 1, p - 1)` by k: positions and signs
+    of shape (n, C(n, p-1)), entry [k, J] locating k + J among the p-indices
+    with the merge sign of (k, J), and sign 0 where k is in J."""
+    k, rest, sign = shuffle_table(n, 1, p - 1)
+    pos = np.zeros((n, comb(n, p - 1)), dtype=np.intp)
+    signs = np.zeros(pos.shape)
+    pos[k, rest] = np.arange(comb(n, p))[:, None]
+    signs[k, rest] = sign
+    for t in (pos, signs):  # every caller shares the cached table
+        t.flags.writeable = False
+    return pos, signs
+
+
+def _interiors(n: int, p: int, comps: np.ndarray,
+               k: int | slice = slice(None)) -> np.ndarray:
+    """iota_{e_k} on the left block of comps (..., C(n,p), Cq), every k at once.
+
+    Returns (..., n, C(n,p-1), Cq), or (..., C(n,p-1), Cq) for one integer
+    k: each entry is one signed gather, as no two splits share (k, J).  The
+    right block is the same call on `_transposed` components; the gather
+    reads strided views in place.
+    """
+    pos, signs = _interior_table(n, p)
+    out = comps[..., pos[k], :]
+    out *= signs[k][..., None]
+    return out
+
+
+def _transposed(comps: np.ndarray) -> np.ndarray:
+    return np.swapaxes(comps, -1, -2)
 
 
 def _insert_left(n: int, p: int, stacked: np.ndarray) -> np.ndarray:
@@ -329,25 +359,20 @@ def bianchi(a: DoubleForm, side: str = "left") -> DoubleForm:
     """Bianchi alternation map; zero on (p,0) (left) and (0,q) (right) by convention.
 
     Left: -sum_k dx^k owedge (iota_{e_k} on the right block); right: the mirror
-    image.  Each entry of the interior product has at most one term, so it is
-    a signed scatter through the shuffle table, followed by the insertion.
+    image.  Each is the interior products of one block followed by the
+    insertion into the other.
     """
     n = a.n
     if side == "left":
         if a.q == 0:
             return zero_form(n, a.p, 0, a.batch_shape)
-        k, rest, sign = shuffle_table(n, 1, a.q - 1)
-        contracted = np.zeros(a.comps.shape[:-1] + (n, comb(n, a.q - 1)))
-        contracted[..., k, rest] = sign * a.comps[..., None]  # (..., A, k, b)
-        contracted = np.swapaxes(contracted, -2, -3)
+        contracted = _transposed(_interiors(n, a.q, _transposed(a.comps)))
         return DoubleForm(n, a.p + 1, a.q - 1, _insert_left(n, a.p, contracted))
     if side == "right":
         if a.p == 0:
             return zero_form(n, 0, a.q, a.batch_shape)
-        k, rest, sign = shuffle_table(n, 1, a.p - 1)
-        contracted = np.zeros(a.batch_shape + (n, comb(n, a.p - 1), comb(n, a.q)))
-        contracted[..., k, rest, :] = sign[:, :, None] * a.comps[..., None, :]
-        return DoubleForm(n, a.p - 1, a.q + 1, _insert_right(n, a.q, contracted))
+        return DoubleForm(n, a.p - 1, a.q + 1,
+                          _insert_right(n, a.q, _interiors(n, a.p, a.comps)))
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -355,18 +380,25 @@ def derivation_action(A: np.ndarray, a: DoubleForm) -> DoubleForm:
     """Extend the matrix A as a derivation over both blocks of `a`.
 
     Replaces each argument slot e_i by A e_i and sums; this is the component
-    form of connection corrections and Lie-algebra actions.
+    form of connection corrections and Lie-algebra actions.  On a block of
+    degree p it is sum_i dx^i owedge iota_{A e_i}: the interior products
+    iota_{e_m}, one batched product with A^T over m, then the insertion.
     """
-    parts = []
+    n = a.n
+    At = _transposed(np.asarray(A, dtype=float))
+
+    def left(comps, p):
+        iotas = _interiors(n, p, comps)  # (..., m, C(n,p-1), Cq)
+        stacked = At @ iotas.reshape(iotas.shape[:-2] + (-1,))
+        stacked = stacked.reshape(stacked.shape[:-1] + iotas.shape[-2:])
+        return -_insert_left(n, p - 1, stacked)  # sum_i dx^i owedge stacked[i]
+
+    comps = np.zeros(a.comps.shape)
     if a.p >= 1:
-        WL = derivation_tensor(a.n, a.p)
-        parts.append(np.einsum("IJmi,...mi,...Jq->...Iq", WL, A, a.comps))
+        comps = comps + left(a.comps, a.p)
     if a.q >= 1:
-        WR = derivation_tensor(a.n, a.q)
-        parts.append(np.einsum("IJmi,...mi,...pJ->...pI", WR, A, a.comps))
-    if not parts:
-        return zero_form(a.n, 0, 0, a.batch_shape)
-    return DoubleForm(a.n, a.p, a.q, sum(parts))
+        comps = comps + _transposed(left(_transposed(a.comps), a.q))
+    return DoubleForm(n, a.p, a.q, comps)
 
 
 def evaluate(a: DoubleForm, xs, ys) -> np.ndarray:

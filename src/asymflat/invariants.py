@@ -476,8 +476,7 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> float:
     return xf
 
 
-def extrapolate(samples: list[tuple[float, float]], s: float | None = None,
-                step: float | None = None,
+def extrapolate(samples: list[tuple[float, float]], step: float | None = None,
                 terms: int | None = None) -> tuple[float, float, float]:
     """Extrapolate value(r) -> c0 as r -> infinity; returns (c0, s, max residual).
 
@@ -486,12 +485,11 @@ def extrapolate(samples: list[tuple[float, float]], s: float | None = None,
     fit on the ladder step, 2 step, ...); otherwise the spacing s > 0 is
     profiled out on [0.05, 20] by bounded Brent minimization
     (`_minimize_bounded`, xatol 1e-10) with one ladder rung withheld to
-    keep the fit conditioned.  A given spacing (`step`, else `s`) must be
-    finite and > 0.  `terms` caps the ladder depth (default: all but two
-    samples).  A constant sequence returns (constant, nan, 0).
+    keep the fit conditioned.  A given `step` must be finite and > 0.
+    `terms` caps the ladder depth (default: all but two samples).  A
+    constant sequence returns (constant, nan, 0).
     """
-    if step is not None:
-        s = float(step)
+    s = None if step is None else float(step)
     if s is not None and not (math.isfinite(s) and s > 0):
         raise ValueError(f"step: the ladder spacing must be finite and > 0, got {s!r}")
     if len(samples) < 3:
@@ -565,7 +563,7 @@ def _chunk_nodes(n: int, k: int) -> int:
     return max(1, CHUNK_DOUBLES // (math.comb(2 * k, k) * n ** 4))
 
 
-def _adaptive_integral(n: int, r: float, level: int, f, chunk: int = 2048):
+def _adaptive_integral(n: int, r: float, level: int, f, k: int = 1):
     """Sphere integral at `level`, checked one level down, refined if unsettled.
 
     Q_level is returned when it agrees with Q_{level-1} to
@@ -575,11 +573,13 @@ def _adaptive_integral(n: int, r: float, level: int, f, chunk: int = 2048):
     Otherwise, and at level 2, where no coarser rule exists, the level grows
     by max(2, level // 2), so the degree about 1.5x, until two successive
     values agree, and the last is returned.  A value still unsettled after
-    `MAX_REFINEMENTS` steps is returned with a RuntimeWarning.
+    `MAX_REFINEMENTS` steps is returned with a RuntimeWarning.  An integrand
+    of order k is called on `_chunk_nodes(n, k)` nodes at a time.
     """
     def settled(new, old):
         return np.all(np.abs(new - old) <= REFINE_RTOL * np.maximum(np.abs(new), 1.0))
 
+    chunk = _chunk_nodes(n, k)
     val = integrate_sphere(sphere_rule(n, r, level), f, chunk)
     last = np.nan  # level 2 has no coarser rule to check against
     if level > 2:
@@ -598,16 +598,18 @@ def _adaptive_integral(n: int, r: float, level: int, f, chunk: int = 2048):
 
 
 def _curves(g: MetricField, n: int, radii, level: int, integrand,
-            scale: float = 1.0, chunk: int = 2048, **kwargs) -> list:
+            scale: float = 1.0, **kwargs) -> list:
     """[(r, scale * sphere integral)] curves, one per integrand component.
 
     `integrand(g, xs, nus, **kwargs)` is integrated once per radius for all
-    of its components, `chunk` nodes per call.
+    of its components, in the chunks of its order k: that of its `ctx`, or
+    1 for the ADM integrand, which takes none.
     """
+    k = kwargs["ctx"].k if "ctx" in kwargs else 1
     rows = []
     for r in radii:
         f = partial(integrand, g, **kwargs)
-        rows.append(np.atleast_1d(scale * _adaptive_integral(n, r, level, f, chunk)))
+        rows.append(np.atleast_1d(scale * _adaptive_integral(n, r, level, f, k)))
     return [[(float(r), float(v[c])) for r, v in zip(radii, rows)]
             for c in range(rows[0].size)]
 
@@ -661,8 +663,7 @@ def _raw_flux_curves(g: MetricField, ctx: GBCContext, radii, level: int,
     One flux evaluation per node serves the mass and every axis.
     """
     return _curves(g, ctx.n, radii, level, _flux_integrands,
-                   mass_prefactor(ctx.n), _chunk_nodes(ctx.n, ctx.k),
-                   ctx=ctx, center=center)
+                   mass_prefactor(ctx.n), ctx=ctx, center=center)
 
 
 def _check_mass(g: MetricField, ctx: GBCContext) -> None:
@@ -751,22 +752,14 @@ def measure_calibration(n: int, k: int, radii=None, level: int = 8) -> dict[str,
     g = make_schwarzschild(n, k, 1.0)
     ctx = GBCContext(n, k)
     raw = _raw_flux_curves(g, ctx, radii, level, center=False)[0]
-    limit, _, _ = extrapolate(raw, step=step)
-    a = 1.0 / limit
+    a = 1.0 / _result(raw, step).limit
 
     shift = np.zeros(n)
     shift[0] = 1.0
     gt = make_schwarzschild(n, k, 1.0, center=shift)
     curves = _raw_flux_curves(gt, ctx, radii, level)
-    mass_t = extrapolate(curves[0], step=step)[0] * a
-    raw_center = extrapolate(curves[1], step=step)[0]
-    c = mass_t / raw_center
+    mass_t = _result(curves[0], step).limit * a
+    c = mass_t / _result(curves[1], step).limit
 
-    cc = extrapolate(_curv_curve(gt, ctx, radii, level, 0), step=step)[0]
-    b = cc / (mass_t * 1.0)
+    b = curvature_center(gt, ctx, radii, level, step)[0].limit / mass_t
     return {"a": float(a), "c": float(c), "b": float(b)}
-
-
-def _curv_curve(g: MetricField, ctx: GBCContext, radii, level: int, axis: int):
-    return _curves(g, ctx.n, radii, level, curvature_center_integrand,
-                   chunk=_chunk_nodes(ctx.n, ctx.k), ctx=ctx)[axis]

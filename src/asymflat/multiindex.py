@@ -3,11 +3,11 @@
 Everything in this module is pure combinatorics for exterior algebra in a
 fixed dimension n <= MAX_DIM: enumeration of increasing index tuples and the
 shuffle table, which lists every split of an increasing index K into I and J
-with its merge sign (determinant convention).  Wedge products, Hodge stars
-and interior products are all read from that one table; the interior and
-matrix-derivation tensors on compressed antisymmetric components are
-scattered from it here.  Compound matrices (all p x p minors) give the
-induced action of a matrix on p-forms.  All tables are cached.
+with its merge sign (determinant convention).  Wedge products, Hodge stars,
+dx-insertions and interior products are all read from that one table, as
+signed gathers in `dforms`; no dense product or interior-product tensor is
+built.  Compound matrices (all p x p minors) give the induced action of a
+matrix on p-forms.  All tables are cached.
 """
 
 from __future__ import annotations
@@ -82,34 +82,6 @@ def shuffle_table(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.
     for a in (left, right, sign):  # every caller shares the cached table
         a.flags.writeable = False
     return left, right, sign
-
-
-@lru_cache(maxsize=None)
-def interior_tensor(n: int, p: int) -> np.ndarray:
-    """Tensor T with (iota_X alpha)[I'] = sum_k X[k] T[k, I', I] alpha[I].
-
-    T[k, I', I] is the sign of inserting k in front of I' when the sorted
-    union equals I (zero if k already occurs in I').
-    """
-    if p < 1:
-        raise ValueError("interior product needs degree >= 1")
-    k, rest, sign = shuffle_table(n, 1, p - 1)
-    T = np.zeros((n, comb(n, p - 1), comb(n, p)))
-    T[k, rest, np.arange(comb(n, p))[:, None]] = sign
-    return T
-
-
-@lru_cache(maxsize=None)
-def derivation_tensor(n: int, p: int) -> np.ndarray:
-    """Tensor W for the derivation action of a matrix A on p-form components.
-
-    (A . alpha)[I] = sum over slots a of alpha(I with e_{I_a} replaced by
-    A e_{I_a}) = einsum('IJmi,mi,J->I', W, A, alpha).  Used for connection
-    corrections on compressed antisymmetric blocks.
-    """
-    # sum_i dx^i owedge iota_{A e_i}: W[I, J, m, i] = sum_A T[i, A, I] T[m, A, J]
-    T = interior_tensor(n, p)
-    return np.einsum("iAI,mAJ->IJmi", T, T)
 
 
 @lru_cache(maxsize=None)

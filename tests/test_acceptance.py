@@ -35,9 +35,9 @@ from asymflat.fields import (
 from asymflat.gbc import GBCContext, l_k, lovelock, scal
 from asymflat.identities import hodge_metric_power_identity, identity_suite
 from asymflat.invariants import (
-    _curv_curve,
     _raw_flux_curves,
     calibration_constants,
+    curvature_center,
     extrapolate,
     gbc_center,
     gbc_mass,
@@ -240,7 +240,7 @@ def _ratio(n, k, m, t, axis, radii, step):
     c_cal = calibration_constants(n, k)["c"]
     g = make_schwarzschild(n, k, m, center=t)
     center_curve = _raw_center_curve(g, ctx, radii, 8, axis)
-    curv_curve = _curv_curve(g, ctx, radii, 8, axis)
+    curv_curve = curvature_center(g, ctx, radii, 8, step)[axis].per_radius
     # m_k C^axis = c * (raw center limit); extrapolate the pointwise
     # ratio so shared ladder terms cancel
     rows = [(r, v / (c_cal * cr))

@@ -8,6 +8,7 @@ from asymflat.dforms import (
     bianchi,
     coform,
     contract,
+    derivation_action,
     evaluate,
     form,
     hodge,
@@ -22,9 +23,9 @@ from asymflat.dforms import (
 )
 from asymflat.multiindex import (
     index_position,
-    interior_tensor,
     merge_sign,
     multi_indices,
+    shuffle_table,
 )
 
 
@@ -355,8 +356,13 @@ def test_flat_hodge_and_interior_match_loop_oracles(n):
     for p, q in bidegrees(n):
         a = random_form(rng, n, p, q, batch=(3,))
         assert np.array_equal(hodge(a).comps, oracle_hodge(a)), (p, q)
-    for p in range(1, n + 1):
-        assert np.array_equal(interior_tensor(n, p), oracle_interior_tensor(n, p)), p
+        X = rng.standard_normal((3, n))
+        if p >= 1:
+            ref = np.einsum("...k,kaA,...Aj->...aj", X, oracle_interior_tensor(n, p), a.comps)
+            assert np.abs(interior(X, a, "left").comps - ref).max() <= 1e-14, (p, q)
+        if q >= 1:
+            ref = np.einsum("...k,kbB,...iB->...ib", X, oracle_interior_tensor(n, q), a.comps)
+            assert np.abs(interior(X, a, "right").comps - ref).max() <= 1e-14, (p, q)
 
 
 @pytest.mark.parametrize("n", CURVED_DIMS)
@@ -370,32 +376,114 @@ def test_contract_matches_dense_einsum_every_bidegree(n):
             for metric in (None, G):
                 Ginv = np.eye(n) if metric is None else np.linalg.inv(metric.G)
                 ref = np.einsum("...kl,kaA,lbB,...AB->...ab", Ginv,
-                                interior_tensor(n, p), interior_tensor(n, q),
-                                a.comps, optimize=True)
+                                oracle_interior_tensor(n, p),
+                                oracle_interior_tensor(n, q), a.comps, optimize=True)
                 got = contract(a, metric)
                 assert (got.p, got.q) == (p - 1, q - 1)
                 assert np.abs(got.comps - ref).max() <= 1e-13, (p, q, metric is None)
 
 
 # The interior-product steps as einsums over the dense interior tensor:
-# references for the signed gathers and scatters through the shuffle table.
+# references for the signed gathers through the shuffle table.
 
 def einsum_insert_left(n, p, stacked):
-    return -np.einsum("kAI,...kAJ->...IJ", interior_tensor(n, p + 1), stacked)
+    return -np.einsum("kAI,...kAJ->...IJ", oracle_interior_tensor(n, p + 1), stacked)
 
 
 def einsum_insert_right(n, q, stacked):
     sign = -float((-1) ** q)
-    return sign * np.einsum("kBJ,...kIB->...IJ", interior_tensor(n, q + 1), stacked)
+    return sign * np.einsum("kBJ,...kIB->...IJ", oracle_interior_tensor(n, q + 1), stacked)
 
 
 def einsum_bianchi(a, side):
     n = a.n
     if side == "left":
-        contracted = np.einsum("kbB,...AB->...kAb", interior_tensor(n, a.q), a.comps)
+        contracted = np.einsum("kbB,...AB->...kAb", oracle_interior_tensor(n, a.q), a.comps)
         return einsum_insert_left(n, a.p, contracted)
-    contracted = np.einsum("kaA,...AB->...kaB", interior_tensor(n, a.p), a.comps)
+    contracted = np.einsum("kaA,...AB->...kaB", oracle_interior_tensor(n, a.p), a.comps)
     return einsum_insert_right(n, a.q, contracted)
+
+
+# Bit-exact references: the contraction as two matmuls over the dense
+# interior tensor, and the Bianchi maps as a signed scatter through the
+# shuffle table followed by the insertion.
+
+def matmul_contract(a, G=None):
+    TL, TR = oracle_interior_tensor(a.n, a.p), oracle_interior_tensor(a.n, a.q)
+    comps = (TL.reshape(-1, TL.shape[-1]) @ a.comps).reshape(
+        a.comps.shape[:-2] + TL.shape[:2] + a.comps.shape[-1:])
+    if G is not None:
+        comps = np.einsum("...kl,...kaB->...laB", np.linalg.inv(G.G), comps)
+    return (comps @ np.swapaxes(TR, -1, -2)).sum(axis=-3)
+
+
+def scatter_bianchi(a, side):
+    from math import comb
+    from asymflat.dforms import _insert_left, _insert_right
+    n = a.n
+    if side == "left":
+        k, rest, sign = shuffle_table(n, 1, a.q - 1)
+        contracted = np.zeros(a.comps.shape[:-1] + (n, comb(n, a.q - 1)))
+        contracted[..., k, rest] = sign * a.comps[..., None]
+        return _insert_left(n, a.p, np.swapaxes(contracted, -2, -3))
+    k, rest, sign = shuffle_table(n, 1, a.p - 1)
+    contracted = np.zeros(a.batch_shape + (n, comb(n, a.p - 1), comb(n, a.q)))
+    contracted[..., k, rest, :] = sign[:, :, None] * a.comps[..., None, :]
+    return _insert_right(n, a.q, contracted)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_contract_and_bianchi_are_bit_identical_to_their_references(n):
+    rng = np.random.default_rng(110 + n)
+    G = random_metric(rng, n, batch=(3,))
+    for p, q in bidegrees(n):
+        # contiguous components, and a transposed view as the identity
+        # suite passes
+        forms = [random_form(rng, n, p, q, batch=(3,)),
+                 transpose(random_form(rng, n, q, p, batch=(3,)))]
+        for a in forms:
+            if p >= 1 and q >= 1:
+                for metric in (None, G):
+                    assert np.array_equal(contract(a, metric).comps,
+                                          matmul_contract(a, metric)), (p, q)
+            if q >= 1 and p + 1 <= n:
+                assert np.array_equal(bianchi(a, "left").comps,
+                                      scatter_bianchi(a, "left")), (p, q)
+            if p >= 1 and q + 1 <= n:
+                assert np.array_equal(bianchi(a, "right").comps,
+                                      scatter_bianchi(a, "right")), (p, q)
+
+
+def oracle_derivation_tensor(n, p):
+    """W[I, J, m, i] = sum_A T[i, A, I] T[m, A, J]: the derivation action of
+    a matrix on p-form components, (A . w)[I] = W[I, J, m, i] A[m, i] w[J]."""
+    T = oracle_interior_tensor(n, p)
+    return np.einsum("iAI,mAJ->IJmi", T, T)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_derivation_action_matches_dense_einsum(n):
+    rng = np.random.default_rng(120 + n)
+    W = [None] + [oracle_derivation_tensor(n, p) for p in range(1, n + 1)]
+    # (batch of A, batch of a): unbatched, batched, and A with an extra
+    # axis broadcast against a, as the covariant jets pass it
+    batches = [((), ()), ((3,), (3,)), ((3, 2), (3, 1))]
+    for p, q in bidegrees(n):
+        if p == q == 0:
+            continue  # no slot to act on
+        for bA, ba in batches:
+            A = rng.standard_normal(bA + (n, n))
+            a = random_form(rng, n, p, q, batch=ba)
+            got = derivation_action(A, a).comps
+            ref = 0.0
+            if p >= 1:
+                ref = ref + np.einsum("IJmi,...mi,...Jq->...Iq", W[p], A, a.comps,
+                                      optimize=True)
+            if q >= 1:
+                ref = ref + np.einsum("IJmi,...mi,...pJ->...pI", W[q], A, a.comps,
+                                      optimize=True)
+            assert got.shape == ref.shape, (p, q, bA, ba)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (p, q, bA, ba)
 
 
 def top_degree_cases(n):

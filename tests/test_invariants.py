@@ -364,6 +364,25 @@ def test_flux_curves_call_the_integrand_in_budgeted_chunks(monkeypatch):
     assert sizes == [69, 69, 32, 50]
 
 
+def test_curvature_center_and_adm_curves_use_the_budgeted_chunk(monkeypatch):
+    chunks = []
+
+    def spy(rule, f, chunk=2048):
+        chunks.append(chunk)
+        return integrate_sphere(rule, f, chunk)
+
+    monkeypatch.setattr(invariants, "integrate_sphere", spy)
+    radii = [20.0, 40.0, 80.0]
+    g = make_schwarzschild(5, 2, 0.2, center=np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    curvature_center(g, GBCContext(5, 2), radii, 4, step=0.5)
+    assert chunks and set(chunks) == {69}
+    chunks.clear()
+    # the ADM integrand takes no context and is chunked as k = 1
+    adm_mass_coordinate(make_schwarzschild(5, 1, 1.0), radii, 4)
+    assert invariants._chunk_nodes(5, 1) == 209
+    assert chunks and set(chunks) == {209}
+
+
 # ---------------------------------------------------------------------------
 # extrapolation
 # ---------------------------------------------------------------------------
@@ -408,8 +427,6 @@ def test_extrapolate_validation():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="step"):
             extrapolate(samples, step=bad)
-        with pytest.raises(ValueError, match="step"):
-            extrapolate(samples, s=bad)
 
 
 def _scipy_bounded(func, lo, hi, xatol):
