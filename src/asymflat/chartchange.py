@@ -31,6 +31,7 @@ from .fields import ChartError, MetricField, TensorRadialPoly
 from .gbc import GBCContext
 from .invariants import (
     _center_results,
+    _exponents,
     _raw_flux_curves,
     _result,
     calibration_constants,
@@ -304,6 +305,10 @@ class PullbackMetric(MetricField):
         self.regularity = min(g.regularity, 3)
         self.r_min = self._find_r_min()
 
+    @property
+    def decay_orders(self) -> tuple[float, ...]:
+        return self.base.decay_orders + (self.phi.tau_prime,)
+
     def _find_r_min(self) -> float:
         rng = np.random.default_rng(23)
         dirs = rng.standard_normal((64, self.n))
@@ -404,7 +409,8 @@ def invariance_report(g: MetricField, phi: Diffeo, ctx: GBCContext, radii,
     curves_g = _raw_flux_curves(g, ctx, radii, level, center=include_center)
     curves_p = _raw_flux_curves(gp, ctx, radii, level, center=include_center)
     a = calibration_constants(ctx.n, ctx.k)["a"]
-    mass_g, mass_p = _result(curves_g[0], step, a), _result(curves_p[0], step, a)
+    ex_g, ex_p = _exponents(g, step, len(radii)), _exponents(gp, step, len(radii))
+    mass_g, mass_p = _result(curves_g[0], ex_g, a), _result(curves_p[0], ex_p, a)
     rows = [(r, a * vg, a * vp, a * (vp - vg))
             for (r, vg), (_, vp) in zip(curves_g[0], curves_p[0])]
     delta = mass_p.limit - mass_g.limit
@@ -416,8 +422,8 @@ def invariance_report(g: MetricField, phi: Diffeo, ctx: GBCContext, radii,
 
     if include_center:
         mk_g, mk_p = mass_g.limit, mass_p.limit
-        centers = zip(_center_results(curves_g[1:], ctx, mass_g, step),
-                      _center_results(curves_p[1:], ctx, mass_p, step))
+        centers = zip(_center_results(curves_g[1:], ctx, mass_g, ex_g),
+                      _center_results(curves_p[1:], ctx, mass_p, ex_p))
         for axis, (cg, cp) in enumerate(centers):
             c = cg.constant_used
             rows = [(r, c * a_ / mk_g, c * b_ / mk_p, c * b_ / mk_p - c * a_ / mk_g)

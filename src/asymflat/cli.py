@@ -341,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--step", type=float, default=None,
-                       help="known extrapolation ladder spacing")
+                       help="extrapolate on step, 2 step, ... (default: the "
+                            "metric's declared decay exponents)")
         p.add_argument("--zeta", default=None, choices=["none", "radial", "harmonic"])
         p.add_argument("--zeta-c", dest="zeta_c", type=float, default=None)
         p.add_argument("--tau-prime", dest="tau_prime", type=float, default=None)

@@ -184,7 +184,10 @@ class MetricField:
     """Base class: metric g_ij on the exterior chart |x| >= r_min.
 
     Subclasses implement eval/d1/d2/d3; `tau` is the declared decay order of
-    g - delta and `regularity` the number of controlled derivative orders.
+    g - delta, `decay_orders` every order that g - delta decays at (their
+    minimum is `tau`; a flux curve's corrections sit on the lattice they
+    generate, `invariants.decay_exponents`) and `regularity` the number of
+    controlled derivative orders.
     Code outside this module reads a metric only through `jet`, and
     g - delta through `curvature.deviation_field(g)`.  A family overrides
     `jet` only when its orders share work (the chain-rule pullback builds
@@ -197,6 +200,10 @@ class MetricField:
     tau: float
     r_min: float
     regularity: int = 3
+
+    @property
+    def decay_orders(self) -> tuple[float, ...]:
+        return (self.tau,)
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError

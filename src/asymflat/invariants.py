@@ -10,6 +10,7 @@ Schwarzschild family.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ __all__ = [
     "center_integrand_alt",
     "curvature_center_integrand",
     "integrate_sphere",
+    "decay_exponents",
     "extrapolate",
     "gbc_mass",
     "adm_mass_coordinate",
@@ -405,93 +407,41 @@ def curvature_center_integrand(g: MetricField, x: np.ndarray, nu: np.ndarray,
 # extrapolation and results
 # ---------------------------------------------------------------------------
 
-def _minimize_bounded(func, lo: float, hi: float, xatol: float) -> float:
-    """Bounded Brent minimization of a scalar function on [lo, hi].
-
-    Golden-section steps safeguarded by parabolic interpolation (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 5), with
-    the operations, their order and the stopping rule of scipy's
-    `minimize_scalar(method="bounded")` (at most 500 evaluations), which
-    the tests hold it bit-equal to.  Returns the best abscissa.
+def decay_exponents(orders, count: int) -> list[float]:
+    """The first `count` elements, ascending, of the lattice
+    {sum_a i_a tau_a + j : i_a, j >= 0, sum_a i_a >= 1} of the decay orders
+    tau_a: the exponents at which a flux curve of a metric with those orders
+    approaches its limit.  Only finite orders generate it, and values within
+    1e-12 count once; with no finite order (the flat metric) it is 1, 2, ...
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < 500:
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step through the best three
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf
+    gens = sorted({float(t) for t in orders if math.isfinite(t)}) or [1.0]
+    heap, out = list(gens), []
+    while len(out) < count:
+        e = heapq.heappop(heap)
+        if out and e - out[-1] <= 1e-12:
+            continue  # its successors are already queued from out[-1]
+        out.append(e)
+        for t in gens + [1.0]:
+            heapq.heappush(heap, e + t)
+    return out
 
 
-def extrapolate(samples: list[tuple[float, float]], step: float | None = None,
+def extrapolate(samples: list[tuple[float, float]], exponents: list[float],
                 terms: int | None = None) -> tuple[float, float, float]:
-    """Extrapolate value(r) -> c0 as r -> infinity; returns (c0, s, max residual).
+    """Extrapolate value(r) -> c0 as r -> infinity; returns (c0, first
+    exponent, max residual).
 
-    The model is value(r) = c0 + sum_j c_j r^{-s j} with a single ladder
-    spacing.  When `step` is given the spacing is known exactly (Richardson
-    fit on the ladder step, 2 step, ...); otherwise the spacing s > 0 is
-    profiled out on [0.05, 20] by bounded Brent minimization
-    (`_minimize_bounded`, xatol 1e-10) with one ladder rung withheld to
-    keep the fit conditioned.  A given `step` must be finite and > 0.
-    `terms` caps the ladder depth (default: all but two samples).  A
-    constant sequence returns (constant, nan, 0).
+    The model is value(r) = c0 + sum_e c_e r^(-e) over the first `nterms`
+    of `exponents`, which must be finite, > 0 and strictly increasing (the
+    metric's `decay_exponents`, or step, 2 step, ... for a known ladder
+    spacing).  `terms` caps nterms (default and bound: all but two samples).
+    A constant sequence returns (constant, nan, 0).
     """
-    s = None if step is None else float(step)
-    if s is not None and not (math.isfinite(s) and s > 0):
-        raise ValueError(f"step: the ladder spacing must be finite and > 0, got {s!r}")
+    ex = [float(e) for e in exponents]
+    if not ex or not all(math.isfinite(e) and e > 0 for e in ex) \
+            or any(b <= a for a, b in zip(ex, ex[1:])):
+        raise ValueError(f"exponents must be finite, > 0 and strictly "
+                         f"increasing, got {ex!r}")
     if len(samples) < 3:
         raise ValueError("extrapolation needs at least 3 samples")
     rs = np.array([float(r) for r, _ in samples])
@@ -504,24 +454,16 @@ def extrapolate(samples: list[tuple[float, float]], step: float | None = None,
         return float(vals[0]), float("nan"), 0.0
     nterms = max(1, min(terms if terms is not None else len(rs) - 2,
                         len(rs) - 2))
-
-    def resid(sv: float, nt: int):
-        cols = [np.ones_like(rs)]
-        cols += [rs ** (-sv * (j + 1)) for j in range(nt)]
-        A = np.stack(cols, axis=1)
-        coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
-        return coef, np.abs(A @ coef - vals).max()
-
-    if s is None:
-        s = _minimize_bounded(lambda sv: resid(sv, max(1, nterms - 1))[1],
-                              0.05, 20.0, xatol=1e-10)
-    coef, rmax = resid(s, nterms)
-    return float(coef[0]), float(s), float(rmax)
+    A = np.stack([np.ones_like(rs)] + [rs ** -e for e in ex[:nterms]], axis=1)
+    coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
+    return float(coef[0]), ex[0], float(np.abs(A @ coef - vals).max())
 
 
 @dataclass
 class InvariantResult:
-    """Per-radius values, the extrapolated limit, and fit diagnostics."""
+    """Per-radius values, the extrapolated limit, and fit diagnostics:
+    `exponent` is the leading exponent of the fit (nan for a constant curve)
+    and `residual` its largest residual."""
 
     per_radius: list
     limit: float
@@ -614,12 +556,24 @@ def _curves(g: MetricField, n: int, radii, level: int, integrand,
             for c in range(rows[0].size)]
 
 
-def _result(per_radius: list, step: float | None, constant: float = 1.0,
+def _exponents(g: MetricField, step: float | None, count: int) -> list[float]:
+    """The first `count` extrapolation exponents of g's flux curves: step,
+    2 step, ... for a given ladder spacing, else g's declared
+    `decay_exponents`.  A given `step` must be finite and > 0."""
+    if step is None:
+        return decay_exponents(g.decay_orders, count)
+    s = float(step)
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"step: the ladder spacing must be finite and > 0, got {s!r}")
+    return [s * (j + 1) for j in range(count)]
+
+
+def _result(per_radius: list, exponents: list[float], constant: float = 1.0,
             mass: float = 1.0) -> InvariantResult:
-    """The extrapolated limit of one per-radius curve, reported as
-    `constant * limit / mass`; `converged` when the fit residual is within
-    10 % of the curve's scale."""
-    limit, s, resid = extrapolate(per_radius, step=step)
+    """The extrapolated limit of one per-radius curve on `exponents`
+    (`_exponents`), reported as `constant * limit / mass`; `converged` when
+    the fit residual is within 10 % of the curve's scale."""
+    limit, s, resid = extrapolate(per_radius, exponents)
     scale = max(abs(limit), max(abs(v) for _, v in per_radius), 1e-30)
     return InvariantResult(per_radius, constant * limit / mass, s,
                            abs(constant) * resid / abs(mass),
@@ -678,23 +632,24 @@ def _check_mass(g: MetricField, ctx: GBCContext) -> None:
 
 
 def _center_results(curves: list, ctx: GBCContext, mass: InvariantResult,
-                    step: float | None) -> list[InvariantResult]:
+                    exponents: list[float]) -> list[InvariantResult]:
     if abs(mass.limit) < 1e-12:
         raise ValueError("center of mass undefined: vanishing mass")
     c = calibration_constants(ctx.n, ctx.k)["c"]
-    return [_result(per_radius, step, c, mass.limit) for per_radius in curves]
+    return [_result(per_radius, exponents, c, mass.limit) for per_radius in curves]
 
 
 def gbc_mass(g: MetricField, ctx: GBCContext, radii, level: int = 8,
              step: float | None = None) -> InvariantResult:
     """Gauss-Bonnet-Chern mass m_k as an extrapolated, normalized limit.
 
-    `step` fixes the decay-ladder spacing of the extrapolation when the
-    asymptotic expansion of the metric is known (for example 1/k for the
-    generalized Schwarzschild family); by default the spacing is profiled.
+    The limit is extrapolated on the lattice of g's declared `decay_orders`;
+    a given `step` replaces it by step, 2 step, ... (for example 1/k for the
+    generalized Schwarzschild family).
     """
     _check_mass(g, ctx)
-    return _result(_raw_flux_curves(g, ctx, radii, level, center=False)[0], step,
+    return _result(_raw_flux_curves(g, ctx, radii, level, center=False)[0],
+                   _exponents(g, step, len(radii)),
                    calibration_constants(ctx.n, ctx.k)["a"])
 
 
@@ -703,7 +658,7 @@ def adm_mass_coordinate(g: MetricField, radii, level: int = 8) -> InvariantResul
     n = g.n
     pref = 1.0 / (2.0 * (n - 1) * sphere_volume(n))
     return _result(_curves(g, n, radii, level, adm_integrand_coordinate, pref)[0],
-                   step=None)
+                   _exponents(g, None, len(radii)))
 
 
 def gbc_mass_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
@@ -711,9 +666,10 @@ def gbc_mass_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
                     ) -> tuple[InvariantResult, list[InvariantResult]]:
     """The mass m_k and the per-axis center C^i from one pass per radius."""
     _check_mass(g, ctx)
+    exponents = _exponents(g, step, len(radii))
     curves = _raw_flux_curves(g, ctx, radii, level)
-    mass = _result(curves[0], step, calibration_constants(ctx.n, ctx.k)["a"])
-    return mass, _center_results(curves[1:], ctx, mass, step)
+    mass = _result(curves[0], exponents, calibration_constants(ctx.n, ctx.k)["a"])
+    return mass, _center_results(curves[1:], ctx, mass, exponents)
 
 
 def gbc_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
@@ -729,7 +685,8 @@ def gbc_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
 def curvature_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
                      step: float | None = None) -> list[InvariantResult]:
     """Per-axis limits of the Lovelock flux against the conformal Killing fields."""
-    return [_result(per_radius, step) for per_radius in
+    exponents = _exponents(g, step, len(radii))
+    return [_result(per_radius, exponents) for per_radius in
             _curves(g, ctx.n, radii, level, curvature_center_integrand, ctx=ctx)]
 
 
@@ -748,18 +705,18 @@ def measure_calibration(n: int, k: int, radii=None, level: int = 8) -> dict[str,
     from .fields import make_schwarzschild
     if radii is None:
         radii = [20.0 * 2 ** j for j in range(8)]
-    step = 1.0 / k  # the model family expands in integer powers of r^{-1/k}
     g = make_schwarzschild(n, k, 1.0)
     ctx = GBCContext(n, k)
+    exponents = _exponents(g, None, len(radii))
     raw = _raw_flux_curves(g, ctx, radii, level, center=False)[0]
-    a = 1.0 / _result(raw, step).limit
+    a = 1.0 / _result(raw, exponents).limit
 
     shift = np.zeros(n)
     shift[0] = 1.0
     gt = make_schwarzschild(n, k, 1.0, center=shift)
     curves = _raw_flux_curves(gt, ctx, radii, level)
-    mass_t = _result(curves[0], step).limit * a
-    c = mass_t / _result(curves[1], step).limit
+    mass_t = _result(curves[0], exponents).limit * a
+    c = mass_t / _result(curves[1], exponents).limit
 
-    b = curvature_center(gt, ctx, radii, level, step)[0].limit / mass_t
+    b = curvature_center(gt, ctx, radii, level)[0].limit / mass_t
     return {"a": float(a), "c": float(c), "b": float(b)}

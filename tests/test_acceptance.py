@@ -35,6 +35,7 @@ from asymflat.fields import (
 from asymflat.gbc import GBCContext, l_k, lovelock, scal
 from asymflat.identities import hodge_metric_power_identity, identity_suite
 from asymflat.invariants import (
+    _exponents,
     _raw_flux_curves,
     calibration_constants,
     curvature_center,
@@ -245,7 +246,7 @@ def _ratio(n, k, m, t, axis, radii, step):
     # ratio so shared ladder terms cancel
     rows = [(r, v / (c_cal * cr))
             for (r, v), (_, cr) in zip(curv_curve, center_curve)]
-    return extrapolate(rows, step=step)[0]
+    return extrapolate(rows, _exponents(g, step, len(radii)))[0]
 
 
 def test_criterion_08_curvature_center_ratio():

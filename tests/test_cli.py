@@ -136,16 +136,17 @@ def test_invalid_config_value_exits_1(capsys, tmp_path, command, cfg, key):
 
 
 def test_runtime_loads_no_scipy():
-    # the CLI, a GBC context, a quadrature rule and a profiled extrapolation
-    # need only numpy and the standard library
+    # the CLI, a GBC context, a quadrature rule, a decay lattice and an
+    # extrapolation need only numpy and the standard library
     script = "\n".join([
         "import sys",
         "import asymflat.cli",
         "from asymflat.gbc import GBCContext",
-        "from asymflat.invariants import extrapolate, sphere_rule",
+        "from asymflat.invariants import decay_exponents, extrapolate, sphere_rule",
         "GBCContext(5, 2)",
         "sphere_rule(5, 20.0, 4)",
-        "extrapolate([(10.0 * 2**j, 1.0 + 2.0 / (10.0 * 2**j)) for j in range(6)])",
+        "extrapolate([(10.0 * 2**j, 1.0 + 2.0 / (10.0 * 2**j)) for j in range(6)],",
+        "            decay_exponents((1.0,), 4))",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     src = os.path.dirname(os.path.dirname(asymflat.__file__))
@@ -205,7 +206,8 @@ def test_rtcheck_strict_failure_exits_2(capsys, tmp_path):
 
 def _failed(command):
     """A not-converged or failed result of the library call behind `command`."""
-    res = _result([(20.0, 1.0), (40.0, -1.0), (80.0, 1.0), (160.0, -1.0)], 1.0)
+    res = _result([(20.0, 1.0), (40.0, -1.0), (80.0, 1.0), (160.0, -1.0)],
+                  [1.0, 2.0])
     assert not res.converged
     if command == "mass":
         return res

@@ -4,7 +4,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
 
 from asymflat import invariants
@@ -20,6 +19,7 @@ from asymflat.invariants import (
     center_integrand_alt,
     curvature_center,
     curvature_center_integrand,
+    decay_exponents,
     extrapolate,
     gbc_center,
     gbc_mass,
@@ -387,24 +387,52 @@ def test_curvature_center_and_adm_curves_use_the_budgeted_chunk(monkeypatch):
 # extrapolation
 # ---------------------------------------------------------------------------
 
-def test_extrapolate_exact_ladder_profiled():
+def test_decay_exponents_lattice():
+    assert decay_exponents((0.5,), 4) == [0.5, 1.0, 1.5, 2.0]
+    assert decay_exponents((1.5,), 4) == [1.5, 2.5, 3.0, 3.5]
+    assert decay_exponents((2.0, 1.6), 3) == [1.6, 2.0, 2.6]
+    assert decay_exponents((math.inf,), 3) == [1.0, 2.0, 3.0]
+    # 0.1 + 0.1 + 0.1 rounds to 0.30000000000000004 and counts as 0.3
+    assert decay_exponents((0.1, 0.3), 4) == [0.1, 0.2, 0.3, 0.4]
+
+
+def test_pullback_declares_tau_prime():
+    g = make_schwarzschild(4, 1, 1.0)
+    phi = make_diffeo(zeta=zeta_harmonic(4, 0.2, 1.6), tau_prime=1.6, n=4)
+    gp = pullback_metric(phi, g)
+    assert gp.decay_orders == (2.0, 1.6)
+    assert gp.tau == 1.6
+
+
+def test_exponents_from_step_or_declared_orders():
+    g = make_schwarzschild(5, 2, 1.0)
+    assert invariants._exponents(g, 0.5, 3) == [0.5, 1.0, 1.5]
+    assert invariants._exponents(g, None, 3) == decay_exponents(g.decay_orders, 3)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step"):
+            invariants._exponents(g, bad, 3)
+
+
+def test_extrapolate_exact_curve_on_mixed_lattice():
     rs = [10.0 * 2**j for j in range(8)]
-    vals = [5.0 + 3.0 / r - 7.0 / r**2 for r in rs]
-    c0, s, resid = extrapolate(list(zip(rs, vals)))
-    assert abs(c0 - 5.0) < 1e-9
-    assert abs(s - 1.0) < 1e-4
+    ex = decay_exponents((2.0, 1.6), 6)
+    coef = [3.0, -2.0, 0.5, 4.0]
+    vals = [5.0 + sum(c * r ** -e for c, e in zip(coef, ex)) for r in rs]
+    c0, e0, resid = extrapolate(list(zip(rs, vals)), ex)
+    assert abs(c0 - 5.0) < 1e-10
+    assert e0 == 1.6
 
 
 def test_extrapolate_with_known_step():
     rs = [10.0 * 2**j for j in range(6)]
     vals = [2.0 - 4.0 / np.sqrt(r) + 1.0 / r for r in rs]
-    c0, s, resid = extrapolate(list(zip(rs, vals)), step=0.5)
+    c0, s, resid = extrapolate(list(zip(rs, vals)), [0.5, 1.0, 1.5, 2.0])
     assert abs(c0 - 2.0) < 1e-10
     assert s == 0.5
 
 
 def test_extrapolate_constant_sequence():
-    c0, s, resid = extrapolate([(10.0, 4.0), (20.0, 4.0), (40.0, 4.0)])
+    c0, s, resid = extrapolate([(10.0, 4.0), (20.0, 4.0), (40.0, 4.0)], [1.0])
     assert c0 == 4.0
     assert math.isnan(s)
     assert resid == 0.0
@@ -414,57 +442,46 @@ def test_extrapolate_noise_tolerance():
     rng = np.random.default_rng(0)
     rs = [10.0 * 2**j for j in range(7)]
     vals = [1.0 + 2.0 / r + rng.normal(scale=1e-10) for r in rs]
-    c0, *_ = extrapolate(list(zip(rs, vals)), step=1.0, terms=2)
+    c0, *_ = extrapolate(list(zip(rs, vals)), [1.0, 2.0, 3.0], terms=2)
     assert abs(c0 - 1.0) < 1e-6
 
 
 def test_extrapolate_validation():
     with pytest.raises(ValueError):
-        extrapolate([(1.0, 0.0), (2.0, 1.0)])
+        extrapolate([(1.0, 0.0), (2.0, 1.0)], [1.0])
     with pytest.raises(ValueError):
-        extrapolate([(2.0, 0.0), (1.0, 1.0), (3.0, 2.0)])
+        extrapolate([(2.0, 0.0), (1.0, 1.0), (3.0, 2.0)], [1.0])
     samples = [(10.0, 1.1), (20.0, 1.05), (40.0, 1.025)]
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="step"):
-            extrapolate(samples, step=bad)
+    for bad in ([], [0.0], [-1.0], [math.nan], [math.inf], [1.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="exponents"):
+            extrapolate(samples, bad)
 
 
-def _scipy_bounded(func, lo, hi, xatol):
-    return minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                           options={"xatol": xatol}).x
+def test_declared_exponents_fix_wrong_limits_reported_converged():
+    # a single profiled spacing gave 1.2054 (error 4.6e-3) and a center off
+    # by 2.1e-4, both flagged converged
+    g = make_schwarzschild(5, 2, 1.1)
+    res = gbc_mass(g, GBCContext(5, 2), [20.0 * 2**j for j in range(7)], level=4)
+    assert abs(res.limit - 1.21) < 1e-4
+    t = np.array([0.5, -0.3, 0.2])
+    g = make_schwarzschild(3, 1, 1.2, center=t)
+    res = gbc_center(g, GBCContext(3, 1), [20.0 * 2**j for j in range(6)], level=5)
+    assert np.abs(np.array([r.limit for r in res]) - t).max() < 1e-8
 
 
-@pytest.mark.parametrize("func, lo, hi", [
-    pytest.param(lambda x: (x - 2.0) ** 2, 0.05, 20.0, id="quadratic"),
-    pytest.param(lambda x: math.cos(x), 0.0, 6.0, id="cos"),
-    pytest.param(lambda x: x * math.exp(-x), -1.0, 5.0, id="min-at-bound"),
-    pytest.param(lambda x: (x - 1.0) ** 4 - x, -3.0, 3.0, id="quartic"),
-    pytest.param(lambda x: abs(x - 1.3), 0.05, 20.0, id="abs-kink"),
-    pytest.param(lambda x: max(x - 2.0, 0.5 * (2.0 - x)), 0.0, 10.0, id="max-kink"),
-    pytest.param(lambda x: abs(math.sin(3.0 * x)) + 0.1 * x, 0.2, 2.0,
-                 id="sin-kinks"),
-    pytest.param(lambda x: x, 0.05, 20.0, id="linear"),
-    pytest.param(lambda x: 1.0, 0.0, 1.0, id="constant"),
+@pytest.mark.parametrize("n, k, mass_err, center_err", [
+    (3, 1, 2.9e-6, 4.3e-6),
+    (5, 2, 2.1e-6, 6.5e-7),
 ])
-def test_minimize_bounded_bit_equal_to_scipy(func, lo, hi):
-    for xatol in (1e-10, 1e-5):
-        assert (invariants._minimize_bounded(func, lo, hi, xatol)
-                == _scipy_bounded(func, lo, hi, xatol))
-
-
-def test_profiled_extrapolate_bit_equal_with_scipy_minimizer(monkeypatch):
-    rng = np.random.default_rng(3)
-    ladders = []
-    for _ in range(20):
-        rs = 10.0 * 2.0 ** np.arange(rng.integers(4, 9))
-        s = rng.uniform(0.3, 3.0)
-        c = rng.normal(size=4)
-        vals = c[0] + c[1] * rs ** -s + c[2] * rs ** (-2 * s) \
-            + 1e-9 * c[3] * np.sin(rs)
-        ladders.append(list(zip(rs.tolist(), vals.tolist())))
-    ours = [extrapolate(samples) for samples in ladders]
-    monkeypatch.setattr(invariants, "_minimize_bounded", _scipy_bounded)
-    assert [extrapolate(samples) for samples in ladders] == ours
+def test_declared_exponents_beat_profiled_spacing_100x(n, k, mass_err, center_err):
+    # mass_err, center_err: the errors of a single profiled spacing
+    t = np.zeros(n)
+    t[0] = 0.5
+    g = make_schwarzschild(n, k, 1.1, center=t)
+    mass, center = gbc_mass_center(g, GBCContext(n, k),
+                                   [20.0 * 2**j for j in range(9)], level=4)
+    assert abs(mass.limit - 1.1 ** k) < mass_err / 100
+    assert abs(center[0].limit - 0.5) < center_err / 100
 
 
 # ---------------------------------------------------------------------------
