@@ -331,7 +331,6 @@ class PullbackMetric(MetricField):
         flat = x.reshape(-1, n)
         zeta = phi.zeta_jets(flat, order + 1)
         y = (flat + zeta[0]) @ phi.Q.T + phi.w      # Phi(x), as in `apply`
-        self.base.check_chart(y)
         J = _phi_jets(phi.Q, zeta[1:])
         del zeta    # not read again: free it before the larger arrays come
         G = _compose_jets(self.base.jet(y, order), J)
@@ -400,30 +399,33 @@ def invariance_report(g: MetricField, phi: Diffeo, ctx: GBCContext, radii,
 
     Each limit is the one `gbc_mass_center` reports.  Failures are reported
     through the pass flags, never raised: a drift that does not tend to zero
-    shows up as delta_limit above tolerance and a non-negative fitted slope.
+    shows up as delta_limit above tolerance and a non-negative fitted slope,
+    and no report passes if a radius of either metric did not settle.
     """
     gp = pullback_metric(phi, g)
     radii = [float(r) for r in radii]
 
     # one pass per radius gives the mass and, when asked, every center axis
-    curves_g = _raw_flux_curves(g, ctx, radii, level, center=include_center)
-    curves_p = _raw_flux_curves(gp, ctx, radii, level, center=include_center)
+    curves_g, settled_g = _raw_flux_curves(g, ctx, radii, level, center=include_center)
+    curves_p, settled_p = _raw_flux_curves(gp, ctx, radii, level, center=include_center)
+    settled = settled_g and settled_p
     a = calibration_constants(ctx.n, ctx.k)["a"]
     ex_g, ex_p = _exponents(g, step, len(radii)), _exponents(gp, step, len(radii))
-    mass_g, mass_p = _result(curves_g[0], ex_g, a), _result(curves_p[0], ex_p, a)
+    mass_g = _result(curves_g[0], ex_g, a, settled=settled_g)
+    mass_p = _result(curves_p[0], ex_p, a, settled=settled_p)
     rows = [(r, a * vg, a * vp, a * (vp - vg))
             for (r, vg), (_, vp) in zip(curves_g[0], curves_p[0])]
     delta = mass_p.limit - mass_g.limit
     tol = MASS_TOL * max(1.0, abs(mass_g.limit))
     reports = [InvarianceReport(
         "mass", rows, delta, _drift_slope(radii, [row[3] for row in rows]),
-        tol, abs(delta) < tol,
+        tol, settled and abs(delta) < tol,
         extra={"mass_g": mass_g.limit, "mass_pullback": mass_p.limit})]
 
     if include_center:
         mk_g, mk_p = mass_g.limit, mass_p.limit
-        centers = zip(_center_results(curves_g[1:], ctx, mass_g, ex_g),
-                      _center_results(curves_p[1:], ctx, mass_p, ex_p))
+        centers = zip(_center_results(curves_g[1:], ctx, mass_g, ex_g, settled_g),
+                      _center_results(curves_p[1:], ctx, mass_p, ex_p, settled_p))
         for axis, (cg, cp) in enumerate(centers):
             c = cg.constant_used
             rows = [(r, c * a_ / mk_g, c * b_ / mk_p, c * b_ / mk_p - c * a_ / mk_g)
@@ -432,6 +434,6 @@ def invariance_report(g: MetricField, phi: Diffeo, ctx: GBCContext, radii,
             reports.append(InvarianceReport(
                 f"center[{axis}]", rows, delta,
                 _drift_slope(radii, [row[3] for row in rows]),
-                CENTER_TOL, abs(delta) < CENTER_TOL,
+                CENTER_TOL, settled and abs(delta) < CENTER_TOL,
                 extra={"center_g": cg.limit, "center_pullback": cp.limit}))
     return reports

@@ -218,9 +218,11 @@ class MetricField:
         raise NotImplementedError
 
     def jet(self, x: np.ndarray, order: int) -> list[np.ndarray]:
-        """[g, dg, ..., d^order g] at x, order 0..3."""
+        """[g, dg, ..., d^order g] at x, order 0..3; x must lie in the
+        chart (`check_chart`)."""
         if not 0 <= order <= 3:
             raise ValueError(f"jet order must be 0..3, got {order}")
+        self.check_chart(x)
         return [f(x) for f in (self.eval, self.d1, self.d2, self.d3)[:order + 1]]
 
     def check_chart(self, x: np.ndarray) -> None:

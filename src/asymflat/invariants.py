@@ -75,77 +75,43 @@ class SphereRule:
 def _jacobi_rule(level: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule of `level` nodes for the weight (1 - u^2)^a on [-1, 1].
 
-    Golub-Welsch: the nodes are the eigenvalues of the zero-diagonal Jacobi
-    matrix of the monic recurrence p_{j+1} = u p_j - beta_j p_{j-1}, with
-    beta_j = j (j + 2a) / ((2j + 2a + 1) (2j + 2a - 1)), polished by one
-    Newton step on that recurrence; the Christoffel weights
-    1 / (p_{N-1} p'_N) are symmetrized and scaled to the weight's mass
-    mu_0 = 2^(2a+1) Gamma(a+1)^2 / Gamma(2a+2).  Cached read-only.
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the zero-diagonal Jacobi matrix of the monic recurrence
+    p_{j+1} = u p_j - beta_j p_{j-1}, with
+    beta_j = j (j + 2a) / ((2j + 2a + 1) (2j + 2a - 1)), and the weights are
+    the squared first components of its eigenvectors times the weight's mass
+    mu_0 = 2^(2a+1) Gamma(a+1)^2 / Gamma(2a+2); both are symmetrized.
+    Cached read-only.
     """
     j = np.arange(1, level, dtype=float)
-    beta = j * (j + 2 * a) / ((2 * j + 2 * a + 1) * (2 * j + 2 * a - 1))
-    off = np.sqrt(beta)
-    u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-
-    def recurrence(u):
-        """p_{N-1}(u), p_N(u) and p'_N(u) of the monic recurrence."""
-        p_prev, p = np.zeros_like(u), np.ones_like(u)
-        dp_prev, dp = np.zeros_like(u), np.zeros_like(u)
-        for b in np.concatenate([[0.0], beta]):
-            p_prev, p, dp_prev, dp = (p, u * p - b * p_prev,
-                                      dp, p + u * dp - b * dp_prev)
-        return p_prev, p, dp
-
-    _, p, dp = recurrence(u)
-    u = u - p / dp
-    p_prev, _, dp = recurrence(u)
-    w = 1.0 / (p_prev * dp)
+    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a + 1) * (2 * j + 2 * a - 1)))
+    u, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (2 * a + 1) * math.gamma(a + 1) ** 2 / math.gamma(2 * a + 2) * v[0] ** 2
     u = (u - u[::-1]) / 2
     w = (w + w[::-1]) / 2
-    w *= 2.0 ** (2 * a + 1) * math.gamma(a + 1) ** 2 / math.gamma(2 * a + 2) / w.sum()
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w
 
 
 def _tensor_unit_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product rule on S^{n-1}: Gauss-Jacobi in each polar cosine,
-    uniform azimuth.
+    """Tensor-product rule on S^{n-1}, 2 * level^(n-1) nodes, polar-major.
 
-    `level` is the number of nodes per polar angle; the azimuthal circle gets
-    2*level equispaced nodes (exact for trigonometric degree < 2*level), so
-    the rule has 2 * level^(n-1) nodes.  Each polar rule is Golub-Welsch plus
-    one Newton polish of its nodes (`_jacobi_rule`, Golub & Welsch, Math.
-    Comp. 23, 1969).
+    x_1 = u takes the `level` nodes of the Gauss-Jacobi rule for
+    (1 - u^2)^((n-3)/2) (`_jacobi_rule`), and the other coordinates are
+    sqrt(1 - u^2) times the rule on S^{n-2}; the recursion ends at 2 * level
+    equispaced azimuths on S^1 (exact for trigonometric degree < 2 * level).
     """
-    # embedding: x_1 = cos t_1, x_2 = sin t_1 cos t_2, ...,
-    # x_{n-1} = sin t_1 ... cos phi, x_n = sin t_1 ... sin phi
-    # surface measure: prod_j sin(t_j)^{n-1-j} dt_j dphi
-    ts = []
-    ws = []
-    for j in range(1, n - 1):
-        a = (n - 1 - j - 1) / 2.0  # weight (1-u^2)^a du with u = cos t_j
-        u, w = _jacobi_rule(level, a)
-        ts.append(u)
-        ws.append(w)
-    phi = (2.0 * math.pi / (2 * level)) * np.arange(2 * level)
-    wphi = np.full(2 * level, 2.0 * math.pi / (2 * level))
-
-    grids = np.meshgrid(*ts, phi, indexing="ij")
-    wgrids = np.meshgrid(*ws, wphi, indexing="ij")
-    shape = grids[0].shape
-    x = np.empty(shape + (n,))
-    sin_prod = np.ones(shape)
-    for j in range(n - 2):
-        u = grids[j]
-        x[..., j] = sin_prod * u
-        sin_prod = sin_prod * np.sqrt(np.maximum(1.0 - u * u, 0.0))
-    x[..., n - 2] = sin_prod * np.cos(grids[n - 2])
-    x[..., n - 1] = sin_prod * np.sin(grids[n - 2])
-    w = np.ones(shape)
-    for j in range(n - 1):
-        w = w * wgrids[j]
-    return x.reshape(-1, n), w.reshape(-1)
+    if n == 2:
+        phi = (math.pi / level) * np.arange(2 * level)
+        x = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        return x, np.full(2 * level, math.pi / level)
+    u, wu = _jacobi_rule(level, (n - 3) / 2.0)
+    y, wy = _tensor_unit_rule(n - 1, level)
+    s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
+    x = np.concatenate([np.repeat(u, len(wy))[:, None],
+                        (s[:, None, None] * y).reshape(-1, n - 1)], axis=1)
+    return x, np.outer(wu, wy).reshape(-1)
 
 
 def _symmetric_weight(n: int, m: int, parts: tuple) -> float:
@@ -222,9 +188,10 @@ def sphere_rule(n: int, r: float, level: int) -> SphereRule:
     which reaches the degree from far fewer nodes: 170 against 512 at n = 5,
     level 4.  At n = 3 it saves nothing (66 against 50 nodes at level 5) and
     at n = 4 little (88 against 128 at level 4), so the tensor-product Gauss
-    rule serves there (`_tensor_unit_rule`, 2 * level^(n-1) nodes).  The
-    unit rule is built once per (n, level) and scaled by r (nodes) and
-    r^(n-1) (weights).
+    rule serves there (`_tensor_unit_rule`, 2 * level^(n-1) nodes: one
+    Golub-Welsch eigendecomposition per polar cosine, and a recursion over
+    the dimension).  The unit rule is built once per (n, level) and scaled by
+    r (nodes) and r^(n-1) (weights).
     """
     if not 3 <= n <= 8:
         raise ValueError(f"sphere_rule supports 3 <= n <= 8, got {n}")
@@ -271,7 +238,6 @@ def _flux_integrands(g: MetricField, x: np.ndarray, nu: np.ndarray,
     n, k = ctx.n, ctx.k
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    g.check_chart(x)
     batch = x.shape[:-1]
     jets = g.jet(x, 1 if k == 1 else 2)
     G, d1 = jets[:2]
@@ -293,7 +259,6 @@ def _flux_integrands(g: MetricField, x: np.ndarray, nu: np.ndarray,
 def _dense_factors(g: MetricField, x: np.ndarray, ctx: GBCContext):
     """G, its first partials and R^{k-1} (None for k = 1) at x from one jet."""
     x = np.asarray(x, dtype=float)
-    g.check_chart(x)
     jets = g.jet(x, 1 if ctx.k == 1 else 2)
     if ctx.k == 1:
         return jets[0], jets[1], None
@@ -346,7 +311,6 @@ def adm_integrand_coordinate(g: MetricField, x: np.ndarray,
                              nu: np.ndarray) -> np.ndarray:
     """Coordinate ADM integrand (d_i g_ij - d_j g_ii) nu^j."""
     x = np.asarray(x, dtype=float)
-    g.check_chart(x)
     d1 = g.jet(x, 1)[1]
     t1 = np.einsum("...iij->...j", d1)
     t2 = np.einsum("...jii->...j", d1)
@@ -394,7 +358,6 @@ def curvature_center_integrand(g: MetricField, x: np.ndarray, nu: np.ndarray,
     `axis` selects one field.
     """
     x = np.asarray(x, dtype=float)
-    g.check_chart(x)
     T = lovelock(g, x, ctx)
     v = np.einsum("...ij,...j->...i", T.comps, np.asarray(nu, dtype=float))
     r2 = np.sum(x * x, axis=-1)
@@ -514,12 +477,13 @@ def _adaptive_integral(n: int, r: float, level: int, f, k: int = 1):
     of Q_level (Davis & Rabinowitz, Methods of Numerical Integration, ch. 5).
     Otherwise, and at level 2, where no coarser rule exists, the level grows
     by max(2, level // 2), so the degree about 1.5x, until two successive
-    values agree, and the last is returned.  A value still unsettled after
-    `MAX_REFINEMENTS` steps is returned with a RuntimeWarning.  An integrand
-    of order k is called on `_chunk_nodes(n, k)` nodes at a time.
+    values agree, and the last is returned.  Returns (value, settled): a
+    value still unsettled after `MAX_REFINEMENTS` steps comes with False and
+    a RuntimeWarning.  An integrand of order k is called on
+    `_chunk_nodes(n, k)` nodes at a time.
     """
     def settled(new, old):
-        return np.all(np.abs(new - old) <= REFINE_RTOL * np.maximum(np.abs(new), 1.0))
+        return bool(np.all(np.abs(new - old) <= REFINE_RTOL * np.maximum(np.abs(new), 1.0)))
 
     chunk = _chunk_nodes(n, k)
     val = integrate_sphere(sphere_rule(n, r, level), f, chunk)
@@ -527,33 +491,36 @@ def _adaptive_integral(n: int, r: float, level: int, f, k: int = 1):
     if level > 2:
         last = integrate_sphere(sphere_rule(n, r, level - 1), f, chunk)
         if settled(val, last):
-            return val
+            return val, True
     for _ in range(MAX_REFINEMENTS):
         level += max(2, level // 2)
         last, val = val, integrate_sphere(sphere_rule(n, r, level), f, chunk)
         if settled(val, last):
-            return val
+            return val, True
     warnings.warn(f"sphere integral at n={n}, r={r:g} did not settle by level "
                   f"{level}: largest component difference "
                   f"{np.max(np.abs(val - last)):.3g}", RuntimeWarning, stacklevel=2)
-    return val
+    return val, False
 
 
 def _curves(g: MetricField, n: int, radii, level: int, integrand,
-            scale: float = 1.0, **kwargs) -> list:
-    """[(r, scale * sphere integral)] curves, one per integrand component.
+            scale: float = 1.0, **kwargs) -> tuple[list, bool]:
+    """[(r, scale * sphere integral)] curves, one per integrand component,
+    and whether every radius settled (`_adaptive_integral`).
 
     `integrand(g, xs, nus, **kwargs)` is integrated once per radius for all
     of its components, in the chunks of its order k: that of its `ctx`, or
     1 for the ADM integrand, which takes none.
     """
     k = kwargs["ctx"].k if "ctx" in kwargs else 1
-    rows = []
+    f = partial(integrand, g, **kwargs)
+    rows, settled = [], True
     for r in radii:
-        f = partial(integrand, g, **kwargs)
-        rows.append(np.atleast_1d(scale * _adaptive_integral(n, r, level, f, k)))
+        val, ok = _adaptive_integral(n, r, level, f, k)
+        rows.append(np.atleast_1d(scale * val))
+        settled = settled and ok
     return [[(float(r), float(v[c])) for r, v in zip(radii, rows)]
-            for c in range(rows[0].size)]
+            for c in range(rows[0].size)], settled
 
 
 def _exponents(g: MetricField, step: float | None, count: int) -> list[float]:
@@ -569,16 +536,17 @@ def _exponents(g: MetricField, step: float | None, count: int) -> list[float]:
 
 
 def _result(per_radius: list, exponents: list[float], constant: float = 1.0,
-            mass: float = 1.0) -> InvariantResult:
+            mass: float = 1.0, settled: bool = True) -> InvariantResult:
     """The extrapolated limit of one per-radius curve on `exponents`
     (`_exponents`), reported as `constant * limit / mass`; `converged` when
-    the fit residual is within 10 % of the curve's scale."""
+    every radius of the curve `settled` and the fit residual is within 10 %
+    of the curve's scale."""
     limit, s, resid = extrapolate(per_radius, exponents)
     scale = max(abs(limit), max(abs(v) for _, v in per_radius), 1e-30)
     return InvariantResult(per_radius, constant * limit / mass, s,
                            abs(constant) * resid / abs(mass),
                            constant_used=constant,
-                           converged=resid <= 0.1 * scale + 1e-9)
+                           converged=settled and resid <= 0.1 * scale + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +579,9 @@ def mass_prefactor(n: int) -> float:
 
 
 def _raw_flux_curves(g: MetricField, ctx: GBCContext, radii, level: int,
-                     center: bool = True) -> list:
-    """Prefactored raw curves of the mass, then of the n center axes.
+                     center: bool = True) -> tuple[list, bool]:
+    """Prefactored raw curves of the mass, then of the n center axes, and
+    whether every radius settled.
 
     One flux evaluation per node serves the mass and every axis.
     """
@@ -632,11 +601,12 @@ def _check_mass(g: MetricField, ctx: GBCContext) -> None:
 
 
 def _center_results(curves: list, ctx: GBCContext, mass: InvariantResult,
-                    exponents: list[float]) -> list[InvariantResult]:
+                    exponents: list[float], settled: bool) -> list[InvariantResult]:
     if abs(mass.limit) < 1e-12:
         raise ValueError("center of mass undefined: vanishing mass")
     c = calibration_constants(ctx.n, ctx.k)["c"]
-    return [_result(per_radius, exponents, c, mass.limit) for per_radius in curves]
+    return [_result(per_radius, exponents, c, mass.limit, settled)
+            for per_radius in curves]
 
 
 def gbc_mass(g: MetricField, ctx: GBCContext, radii, level: int = 8,
@@ -648,17 +618,17 @@ def gbc_mass(g: MetricField, ctx: GBCContext, radii, level: int = 8,
     generalized Schwarzschild family).
     """
     _check_mass(g, ctx)
-    return _result(_raw_flux_curves(g, ctx, radii, level, center=False)[0],
-                   _exponents(g, step, len(radii)),
-                   calibration_constants(ctx.n, ctx.k)["a"])
+    curves, settled = _raw_flux_curves(g, ctx, radii, level, center=False)
+    return _result(curves[0], _exponents(g, step, len(radii)),
+                   calibration_constants(ctx.n, ctx.k)["a"], settled=settled)
 
 
 def adm_mass_coordinate(g: MetricField, radii, level: int = 8) -> InvariantResult:
     """ADM mass from the coordinate integrand; an independent k=1 oracle."""
     n = g.n
     pref = 1.0 / (2.0 * (n - 1) * sphere_volume(n))
-    return _result(_curves(g, n, radii, level, adm_integrand_coordinate, pref)[0],
-                   _exponents(g, None, len(radii)))
+    curves, settled = _curves(g, n, radii, level, adm_integrand_coordinate, pref)
+    return _result(curves[0], _exponents(g, None, len(radii)), settled=settled)
 
 
 def gbc_mass_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
@@ -667,9 +637,10 @@ def gbc_mass_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
     """The mass m_k and the per-axis center C^i from one pass per radius."""
     _check_mass(g, ctx)
     exponents = _exponents(g, step, len(radii))
-    curves = _raw_flux_curves(g, ctx, radii, level)
-    mass = _result(curves[0], exponents, calibration_constants(ctx.n, ctx.k)["a"])
-    return mass, _center_results(curves[1:], ctx, mass, exponents)
+    curves, settled = _raw_flux_curves(g, ctx, radii, level)
+    mass = _result(curves[0], exponents, calibration_constants(ctx.n, ctx.k)["a"],
+                   settled=settled)
+    return mass, _center_results(curves[1:], ctx, mass, exponents, settled)
 
 
 def gbc_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
@@ -686,8 +657,8 @@ def curvature_center(g: MetricField, ctx: GBCContext, radii, level: int = 8,
                      step: float | None = None) -> list[InvariantResult]:
     """Per-axis limits of the Lovelock flux against the conformal Killing fields."""
     exponents = _exponents(g, step, len(radii))
-    return [_result(per_radius, exponents) for per_radius in
-            _curves(g, ctx.n, radii, level, curvature_center_integrand, ctx=ctx)]
+    curves, settled = _curves(g, ctx.n, radii, level, curvature_center_integrand, ctx=ctx)
+    return [_result(per_radius, exponents, settled=settled) for per_radius in curves]
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +679,13 @@ def measure_calibration(n: int, k: int, radii=None, level: int = 8) -> dict[str,
     g = make_schwarzschild(n, k, 1.0)
     ctx = GBCContext(n, k)
     exponents = _exponents(g, None, len(radii))
-    raw = _raw_flux_curves(g, ctx, radii, level, center=False)[0]
+    raw = _raw_flux_curves(g, ctx, radii, level, center=False)[0][0]
     a = 1.0 / _result(raw, exponents).limit
 
     shift = np.zeros(n)
     shift[0] = 1.0
     gt = make_schwarzschild(n, k, 1.0, center=shift)
-    curves = _raw_flux_curves(gt, ctx, radii, level)
+    curves, _ = _raw_flux_curves(gt, ctx, radii, level)
     mass_t = _result(curves[0], exponents).limit * a
     c = mass_t / _result(curves[1], exponents).limit
 

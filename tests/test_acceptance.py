@@ -233,7 +233,7 @@ def test_criterion_07_center_of_mass():
 
 
 def _raw_center_curve(g, ctx, radii, level, axis):
-    return _raw_flux_curves(g, ctx, radii, level)[1 + axis]
+    return _raw_flux_curves(g, ctx, radii, level)[0][1 + axis]
 
 
 def _ratio(n, k, m, t, axis, radii, step):

@@ -10,6 +10,7 @@ from asymflat.chartchange import (
     zeta_harmonic,
     zeta_radial,
 )
+from asymflat import invariants
 from asymflat.fields import EuclideanMetric, make_schwarzschild
 from asymflat.gbc import GBCContext
 from asymflat.invariants import gbc_mass, gbc_mass_center
@@ -173,6 +174,17 @@ def test_invariance_report_limits_are_those_of_gbc_mass_center(step):
     mass, centers = gbc_mass_center(g, ctx, RADII, level=4, step=step)
     assert reports[0].extra["mass_g"] == mass.limit
     assert [rep.extra["center_g"] for rep in reports[1:]] == [c.limit for c in centers]
+
+
+def test_invariance_report_fails_on_an_unsettled_radius(monkeypatch):
+    # a pure rotation leaves the mass and center unchanged, but with a zero
+    # tolerance no radius settles, so no report may pass
+    g = make_schwarzschild(3, 1, 1.0, center=[0.3, -0.2, 0.1])
+    monkeypatch.setattr(invariants, "REFINE_RTOL", 0.0)
+    with pytest.warns(RuntimeWarning, match="did not settle"):
+        reports = invariance_report(g, make_diffeo(Q=rotation(3, 7)), GBCContext(3, 1),
+                                    RADII[:3], level=3, include_center=True, step=1.0)
+    assert len(reports) == 4 and not any(rep.passed for rep in reports)
 
 
 def test_invariance_report_serialization():

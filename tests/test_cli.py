@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import asymflat
-from asymflat import cli
+from asymflat import cli, invariants
 from asymflat.chartchange import InvarianceReport
 from asymflat.cli import DEFAULTS, ConfigError, _validate, main, parse_radii
 from asymflat.identities import IdentityCheck
@@ -234,6 +235,36 @@ def test_a_failed_result_exits_2_under_strict_only(capsys, tmp_path, monkeypatch
         assert run(args + strict + ["--out", str(out)], capsys)[0] == expected
         doc = json.loads((out / f"{command}.json").read_text())
         assert doc["command"] == command and doc["config"]["strict"] == bool(strict)
+
+
+def test_an_unsettled_radius_exits_2_under_strict(capsys, tmp_path, monkeypatch):
+    # no two levels of the translated (3,1) flux agree exactly, so with a
+    # zero tolerance no radius settles
+    monkeypatch.setattr(invariants, "REFINE_RTOL", 0.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "k": 1, "m": 1.0, "center": [0.5, -0.3, 0.2],
+                               "radii": "20:3", "level": 3}))
+    with pytest.warns(RuntimeWarning, match="did not settle"):
+        code, out, _ = run(["mass", "--config", str(cfg), "--strict",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "[not converged]" in out
+    doc = json.loads((tmp_path / "mass.json").read_text())
+    assert doc["results"]["mass"]["converged"] is False
+
+
+def test_n4_center_settles_at_the_default_level(tmp_path):
+    # level 8 out to r = 640, where the flux cancels by a factor r
+    t = [0.5, -0.3, 0.2, 0.4]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": "schwarzschild", "n": 4, "k": 1, "m": 1.0,
+                               "center": t, "radii": "20:6"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["center", "--config", str(cfg), "--strict", "--out", str(tmp_path)])
+    assert code == 0
+    res = json.loads((tmp_path / "center.json").read_text())["results"]
+    assert max(abs(res[f"center[{i}]"]["limit"] - t[i]) for i in range(4)) <= 1e-8
 
 
 def test_invariance_command(capsys, tmp_path):

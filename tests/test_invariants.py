@@ -100,14 +100,22 @@ def test_integrate_sphere_deterministic():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_tensor_rule_is_bit_identical_to_the_per_radius_construction(n):
+    # bit-identical at n = 3; at n = 4 the recursion multiplies the two sines
+    # and the three weight factors in another order than the loop-built
+    # reference, so the two agree to the last bit
     for level in (2, 5, 8):
         for r in (1.0, 20.0, 5120.0):
             rule = sphere_rule(n, r, level)
             points, weights, normals = tensor_sphere_rule(n, r, level)
             assert rule.level == level
-            assert np.array_equal(rule.points, points)
-            assert np.array_equal(rule.normals, normals)
-            assert np.array_equal(rule.weights, weights)
+            if n == 3:
+                assert np.array_equal(rule.points, points)
+                assert np.array_equal(rule.normals, normals)
+                assert np.array_equal(rule.weights, weights)
+            else:
+                assert np.abs(rule.normals - normals).max() <= 1e-15
+                assert np.abs(rule.points - points).max() <= 1e-15 * r
+                assert (np.abs(rule.weights - weights) / weights).max() <= 1e-15
 
 
 def sphere_moment(n, a):
@@ -242,8 +250,9 @@ def test_settled_radius_evaluates_its_level_and_the_one_below(monkeypatch):
             return _flux_integrands(g, x, nu, ctx, center=False)
 
         passes = spy_passes(monkeypatch)
-        val = _adaptive_integral(5, r, 4, counting)
+        val, settled = _adaptive_integral(5, r, 4, counting)
         monkeypatch.undo()
+        assert settled
         assert passes == [(4, counting), (3, counting)]
         assert nodes == [170, 50]
         assert np.array_equal(val, integrate_sphere(sphere_rule(5, r, 4), counting))
@@ -253,8 +262,9 @@ def test_settled_radius_evaluates_its_level_and_the_one_below(monkeypatch):
 def test_unresolved_radius_escalates_to_the_upward_value(n, monkeypatch):
     f = lambda x, nu: x[:, 0] ** 12
     passes = spy_passes(monkeypatch)
-    val = _adaptive_integral(n, 1.0, 4, f)
+    val, settled = _adaptive_integral(n, 1.0, 4, f)
     monkeypatch.undo()
+    assert settled
     assert [level for level, _ in passes[:3]] == [4, 3, 6]
     assert val != integrate_sphere(sphere_rule(n, 1.0, 4), f)
     assert val == upward_integral(n, 1.0, 4, f)
@@ -265,8 +275,9 @@ def test_coarsest_check_rule_is_level_two(level, path, monkeypatch):
     # x0^2 is exact at every level, so each radius settles on its first check
     f = lambda x, nu: np.stack([np.ones(x.shape[0]), x[:, 0] ** 2], -1)
     passes = spy_passes(monkeypatch)
-    val = _adaptive_integral(3, 2.0, level, f)
+    val, settled = _adaptive_integral(3, 2.0, level, f)
     monkeypatch.undo()
+    assert settled
     assert [lv for lv, _ in passes] == path
     expected = upward_integral(3, 2.0, 2, f) if level == 2 else \
         integrate_sphere(sphere_rule(3, 2.0, level), f)
@@ -276,7 +287,8 @@ def test_coarsest_check_rule_is_level_two(level, path, monkeypatch):
 def test_unsettled_integral_warns_and_returns_the_last_value():
     f = lambda x, nu: np.abs(x[:, 0])  # a kink: Gauss rules converge slowly
     with pytest.warns(RuntimeWarning, match=r"n=3, r=1 .* level 13: largest component"):
-        val = _adaptive_integral(3, 1.0, 4, f)
+        val, settled = _adaptive_integral(3, 1.0, 4, f)
+    assert not settled
     assert val == integrate_sphere(sphere_rule(3, 1.0, 13), f)
 
 
@@ -293,9 +305,23 @@ def test_pullback_and_curvature_center_curves_stay_within_the_refinement_test():
         # the value the upward refinement confirmed a settled Q_L with
         finer = level + max(2, level // 2)
         for r in RADII:
-            got = _adaptive_integral(dim, r, level, f)
+            got, settled = _adaptive_integral(dim, r, level, f)
+            assert settled
             ref = integrate_sphere(sphere_rule(dim, r, finer), f)
             assert np.all(np.abs(got - ref) <= RTOL * np.maximum(np.abs(ref), 1.0))
+
+
+@pytest.mark.xfail(strict=True, reason="e = G - I keeps only about "
+                   "16 - log10(1/|e|) digits and the center flux cancels by a "
+                   "further factor r, so the integral wanders with the level")
+def test_translated_5_1_center_flux_agrees_across_levels_at_r_640():
+    # the measure_calibration(5, 1) input: m = 1, translated by e_0; the
+    # prefactored axis-0 flux tends to 1 / c_{5,1} = 0.6
+    g = make_schwarzschild(5, 1, 1.0, center=np.eye(5)[0])
+    f = partial(_flux_integrands, g, ctx=GBCContext(5, 1), center=True)
+    vals = [invariants.mass_prefactor(5) * integrate_sphere(sphere_rule(5, 640.0, level), f)[1]
+            for level in (6, 8, 10)]
+    assert max(vals) - min(vals) <= 1e-9 * abs(vals[0])
 
 
 def _chunk_cases():

@@ -141,7 +141,7 @@ def test_vector_quadrature_matches_componentwise():
 
 def test_vector_refinement_waits_for_every_component():
     # the first component settles at once; the second needs more nodes
-    scalar = _adaptive_integral(3, 1.0, 4, lambda x, nu: x[:, 0] ** 12)
+    scalar = _adaptive_integral(3, 1.0, 4, lambda x, nu: x[:, 0] ** 12)[0]
     both = _adaptive_integral(
-        3, 1.0, 4, lambda x, nu: np.stack([np.ones(x.shape[0]), x[:, 0] ** 12], -1))
+        3, 1.0, 4, lambda x, nu: np.stack([np.ones(x.shape[0]), x[:, 0] ** 12], -1))[0]
     assert both[1] == scalar
