@@ -11,7 +11,11 @@ one interior-product primitive `_interiors` read the signed splits of
 maps and `derivation_action` are built from `_interiors` and the
 insertions, and no dense product, star or interior-product matrix is
 formed.  The wedge gathers from copies of its operands with the batch axes
-last, so each gathered entry is one contiguous row over the batch.
+last, so each gathered entry is one contiguous row over the batch.  A
+gathered product within `CHUNK_DOUBLES` is formed whole and summed by one
+einsum; a larger one is summed one split pair at a time into an
+output-sized accumulator and is never formed.  The flux chunks of
+`invariants` are sized from the same budget.
 
 Metric-dependent operations take a :class:`PointMetric` G and use no frame:
 they raise the left block with the compound matrix of G^-1, apply the
@@ -24,11 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .multiindex import compound_matrix, shuffle_table
+
+# doubles a gathered wedge product, or a flux chunk in `invariants`, may hold
+# (2 MiB)
+CHUNK_DOUBLES = 2 ** 18
 
 __all__ = [
     "DoubleForm",
@@ -172,7 +180,17 @@ def metric_form(n: int, G: np.ndarray | None = None) -> DoubleForm:
 # ---------------------------------------------------------------------------
 
 def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
-    """Kulkarni-Nomizu product: blockwise determinant-convention wedge."""
+    """Kulkarni-Nomizu product: blockwise determinant-convention wedge.
+
+    Row (K, J) sums sL[K, s] sR[J, t] a[I_s, I'_t] b[K - I_s, J - I'_t] over
+    the splits s of K and t of J.  When the gathered product, (K, s, J, t)
+    times the batch, fits in `CHUNK_DOUBLES`, it is formed whole and summed
+    by one einsum.  Above that the splits are summed one (s, t) pair at a
+    time, s-major and t-minor, into one output-sized accumulator: each term
+    is gathered from the rows of split s, signed and added.  Batched
+    operands gave the einsum's bits on every pair tested; an unbatched pair
+    can differ in the last bits, as the einsum then orders its sum itself.
+    """
     if a.n != b.n:
         raise DegreeError(f"dimension mismatch: {a.n} vs {b.n}")
     n, p, q = a.n, a.p + b.p, a.q + b.q
@@ -183,9 +201,24 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     lL, rL, sL = shuffle_table(n, a.p, b.p)
     lR, rR, sR = shuffle_table(n, a.q, b.q)
     nb = max(a.comps.ndim, b.comps.ndim) - 2
-    prod = (_batch_last(a.comps, nb)[lL[:, :, None, None], lR[None, None]]
-            * _batch_last(b.comps, nb)[rL[:, :, None, None], rR[None, None]])
-    comps = np.einsum("KsJt...,Ks,Jt->KJ...", prod, sL, sR)
+    A, B = _batch_last(a.comps, nb), _batch_last(b.comps, nb)
+    batch = np.broadcast_shapes(a.batch_shape, b.batch_shape)
+    if sL.size * sR.size * prod(batch) <= CHUNK_DOUBLES:
+        gathered = (A[lL[:, :, None, None], lR[None, None]]
+                    * B[rL[:, :, None, None], rR[None, None]])
+        comps = np.einsum("KsJt...,Ks,Jt->KJ...", gathered, sL, sR)
+    else:
+        comps = np.zeros((len(lL), len(lR)) + batch)
+        # A's terms carry the full batch, so B's multiply into them in place
+        A = np.broadcast_to(A, A.shape[:2] + batch)
+        rows, cols = (-1,) + (1,) * (nb + 1), (1, -1) + (1,) * nb
+        for s in range(sL.shape[1]):
+            As, Bs = A[lL[:, s]] * sL[:, s].reshape(rows), B[rL[:, s]]
+            for t in range(sR.shape[1]):
+                term = np.take(As, lR[:, t], axis=1)
+                term *= np.take(Bs, rR[:, t], axis=1)
+                term *= sR[:, t].reshape(cols)
+                comps += term
     # the batch axes back in front of the component axes
     return DoubleForm(n, p, q, comps.transpose(tuple(range(2, nb + 2)) + (0, 1)))
 

@@ -33,7 +33,7 @@ from .curvature import (
     jet_from_partials,
 )
 from .fields import MetricField
-from .multiindex import _compound_2, compound_matrix
+from .multiindex import compound_matrix
 
 __all__ = [
     "GBCContext",
@@ -78,7 +78,7 @@ def _point_data(g: MetricField, x: np.ndarray):
     G, d1, d2 = g.jet(np.asarray(x, dtype=float), 2)
     Ginv = np.linalg.inv(G)
     R = _riemann_packed(G, d1, d2, Ginv)
-    return G, DoubleForm(g.n, 2, 2, _compound_2(Ginv) @ R.comps)
+    return G, DoubleForm(g.n, 2, 2, compound_matrix(Ginv, 2) @ R.comps)
 
 
 def l_k(g: MetricField, x: np.ndarray, ctx: GBCContext) -> np.ndarray:

@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .dforms import DoubleForm, coform, hodge, wedge, wedge_power
+from .dforms import CHUNK_DOUBLES, DoubleForm, coform, hodge, wedge, wedge_power
 from .curvature import _riemann_packed, d_right_comps
 from .fields import MetricField
 from .gbc import GBCContext, lovelock
@@ -448,8 +448,6 @@ class InvariantResult:
 
 REFINE_RTOL = 1e-8   # agreement of two successive levels, per component
 MAX_REFINEMENTS = 3
-# per-node doubles a flux or curvature chunk may hold (2 MiB); see `_chunk_nodes`
-CHUNK_DOUBLES = 2 ** 18
 
 
 def _chunk_nodes(n: int, k: int) -> int:

@@ -95,8 +95,10 @@ def compound_matrix(M: np.ndarray, p: int) -> np.ndarray:
 
     Entry [I, J] is det(M[I, J]) over increasing row/column multi-indices; it
     is the induced action of M on compressed p-form components.  M may be
-    rectangular.
+    rectangular; a square M at p = 2 takes the closed form `_compound_2`.
     """
+    if p == 2 and M.shape[-1] == M.shape[-2]:
+        return _compound_2(M)
     r = eval_cache(M.shape[-2], p)
     c = eval_cache(M.shape[-1], p)
     return np.linalg.det(M[..., r[:, None, :, None], c[None, :, None, :]])

@@ -7,6 +7,7 @@ from asymflat.dforms import DoubleForm, evaluate, form, hodge, wedge
 from asymflat.multiindex import (
     _compound_2,
     compound_matrix,
+    eval_cache,
     index_position,
     merge_sign,
     multi_indices,
@@ -115,14 +116,21 @@ def test_compound_matrix_determinant():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_closed_form_2x2_compound_matches_the_determinants(n):
-    # batch shapes (), (m,) and (a, b); the 2 x 2 minors a d - b c against
-    # one LU determinant each, within 4e-15 max|M|^2 (observed 2.9e-16)
+    # batch shapes (), (m,) and (a, b); compound_matrix of a square M at
+    # p = 2 is the closed form M_ik M_jl - M_il M_jk, checked against one LU
+    # determinant per minor within 1e-14 of |M_ik M_jl| + |M_il M_jk|
+    # (observed 7.6e-16 of it) and within 4e-15 max|M|^2
     rng = np.random.default_rng(n)
+    r = eval_cache(n, 2)
+    i, j, k, l = r[:, :1], r[:, 1:], r[:, 0], r[:, 1]
     for shape in [(), (4,), (2, 3)]:
         M = rng.standard_normal(shape + (n, n))
-        ref = compound_matrix(M, 2)
-        out = _compound_2(M)
+        out = compound_matrix(M, 2)
+        assert np.array_equal(out, _compound_2(M))
+        ref = np.linalg.det(M[..., r[:, None, :, None], r[None, :, None, :]])
+        scale = np.abs(M[..., i, k] * M[..., j, l]) + np.abs(M[..., i, l] * M[..., j, k])
         assert out.shape == ref.shape
+        assert np.all(np.abs(out - ref) <= 1e-14 * scale)
         assert np.abs(out - ref).max() <= 4e-15 * np.abs(M).max() ** 2
 
 
