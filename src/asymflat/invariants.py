@@ -23,7 +23,7 @@ from .dforms import CHUNK_DOUBLES, DoubleForm, coform, hodge, wedge, wedge_power
 from .curvature import _riemann_packed, d_right_comps
 from .fields import MetricField
 from .gbc import GBCContext, lovelock
-from .kernels import center_kernel, mass_kernel
+from .multiindex import eval_cache, shuffle_table
 
 __all__ = [
     "SphereRule",
@@ -227,13 +227,90 @@ def integrate_sphere(rule: SphereRule, f, chunk: int = 2048):
 # flux integrands
 # ---------------------------------------------------------------------------
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:  # every caller shares the cached table
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _p_map(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_k = *(W owedge b^{n-2k}), W = R^{k-1}, as a padded signed gather:
+    flattened over (I, J), P[p] = sum_s coef[p, s] W[idx[p, s]].
+
+    b^m is m! times the identity, so entry (K, L) of W owedge b^m sums, over
+    the splits K = I + A of `shuffle_table(n, 2k-2, n-2k)`, m! W[I, J] times
+    the merge signs of K = I + A and L = J + A; a split whose A is not in L
+    adds nothing (coef 0).  The star reads row K into row C(n,2) - 1 - K
+    with the split signs of [0, n).  Cached read-only.
+    """
+    left, right, sign = (a[::-1].tolist() for a in shuffle_table(n, 2 * k - 2, n - 2 * k))
+    star = shuffle_table(n, n - 2, 2)[2][0, ::-1].tolist()
+    split_of = [{A: t for t, A in enumerate(row)} for row in right]
+    width, scale = math.comb(n, 2 * k - 2), math.factorial(n - 2 * k)
+    idx, coef = [], []
+    for K, L in product(range(len(left)), repeat=2):
+        for I, A, sK in zip(left[K], right[K], sign[K]):
+            t = split_of[L].get(A)
+            idx.append(0 if t is None else I * width + left[L][t])
+            coef.append(0.0 if t is None else scale * star[K] * sK * star[L] * sign[L][t])
+    shape = (len(left) ** 2, len(left[0]))
+    return _read_only(np.array(idx).reshape(shape), np.array(coef).reshape(shape))
+
+
+@lru_cache(maxsize=None)
+def _unpack_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather of Q[i, a, j, c] = (-1)^(n+1) s(i,j) s(a,c) P[(ij), (ac)], with
+    s(i,j) = +1, -1, 0 for i <, >, = j, so that for X of bidegree (1, 2)
+    component i of *(X owedge *P) is (-1)^(n+1) sum s(i,j) X[j, B] P[(ij), B].
+    Cached read-only."""
+    pos, sgn = np.zeros((n, n), dtype=np.intp), np.zeros((n, n))
+    i, j = eval_cache(n, 2).T
+    pos[i, j] = pos[j, i] = np.arange(len(i))
+    sgn[i, j], sgn[j, i] = 1.0, -1.0
+    return _read_only(pos[:, None, :, None] * len(i) + pos[None, :, None, :],
+                      (-1.0) ** (n + 1) * sgn[:, None, :, None] * sgn[None, :, None, :])
+
+
+def _flux_tensor(n: int, k: int, W: np.ndarray) -> np.ndarray:
+    """Q[..., i, a, j, c] of `_unpack_table` for P_k, from the flattened W."""
+    idx, coef = _p_map(n, k)
+    qidx, qsign = _unpack_table(n)
+    return np.einsum("...ps,ps->...p", W[..., idx], coef)[..., qidx] * qsign
+
+
+@lru_cache(maxsize=None)
+def _flat_flux_maps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The constant Q of k = 1 (W = 1): for the mass, then the center, the
+    inputs c that Q reads (24 of 64 at n = 4) and M[c, o] = Q[o, c] over them,
+    C-contiguous (a strided M made the BLAS sums depend on the chunk)."""
+    Q = _flux_tensor(n, 1, np.ones(1))
+    maps = []
+    for M in (Q.reshape(n, -1).T, Q.reshape(n * n, -1).T):
+        cols = np.flatnonzero(M.any(axis=1))
+        maps.append(_read_only(cols, np.ascontiguousarray(M[cols])))
+    return tuple(maps)
+
+
+def _contract(Q, u: np.ndarray) -> np.ndarray:
+    """sum_c Q[..., o, c] u[..., c] as one matmul; a constant Q comes as the
+    (inputs, M) pair of `_flat_flux_maps`."""
+    if isinstance(Q, tuple):
+        return u[..., Q[0]] @ Q[1]
+    return (Q @ u[..., None])[..., 0]
+
+
 def _flux_integrands(g: MetricField, x: np.ndarray, nu: np.ndarray,
                      ctx: GBCContext, center: bool) -> np.ndarray:
     """Mass flux scalar, then (when `center`) the n center fluxes, shape (..., 1 + n).
 
-    The metric is read through one `jet` call; the folded kernels of
-    the `kernels` module replace the wedges, stars and pairings of the
-    dense reference `_flux_form` / `_center_form`.
+    The metric is read through one `jet` call.  Each flux contracts
+    P_k = *(R^{k-1} owedge b^{n-2k}), unpacked by `_flux_tensor` into
+    Q[i, a, j, c] (its flat wedges and stars folded in): component i of the
+    mass flux star is sum d_a g_jc Q[i, a, j, c], and the center term of
+    axis a is sum_i nu_i sum e_jc Q[i, a, j, c].  Each is one matmul; at
+    k = 1, Q is constant.  The dense `_flux_form` / `_center_form` are the
+    reference.
     """
     n, k = ctx.n, ctx.k
     x = np.asarray(x, dtype=float)
@@ -242,17 +319,19 @@ def _flux_integrands(g: MetricField, x: np.ndarray, nu: np.ndarray,
     jets = g.jet(x, 1 if k == 1 else 2)
     G, d1 = jets[:2]
     if k == 1:
-        P = np.ones(batch + (1,))
+        Qm, Qc = _flat_flux_maps(n)
     else:
         R = _riemann_packed(*jets)
-        P = (R if k == 2 else wedge_power(R, k - 1)).comps.reshape(batch + (-1,))
-    star = mass_kernel(n, k)(d1.reshape(batch + (-1,)), P)
+        W = R if k == 2 else wedge_power(R, k - 1)
+        Q = _flux_tensor(n, k, W.comps.reshape(batch + (-1,)))
+        Qm, Qc = Q.reshape(batch + (n, -1)), Q.reshape(batch + (n * n, -1))
+    star = _contract(Qm, d1.reshape(batch + (-1,)))
     mass = np.einsum("...i,...i->...", star, nu)
     if not center:
         return mass[..., None]
     e = (G - np.eye(n)).reshape(batch + (-1,))
-    second = center_kernel(n, k)(e, P).reshape(batch + (n, n))
-    axes = x * mass[..., None] - np.einsum("...ai,...i->...a", second, nu)
+    second = _contract(Qc, e).reshape(batch + (n, n))
+    axes = x * mass[..., None] + np.einsum("...ia,...i->...a", second, nu)
     return np.concatenate([mass[..., None], axes], axis=-1)
 
 
@@ -277,7 +356,7 @@ def _wedge_tail(form: DoubleForm, W: DoubleForm | None, ctx: GBCContext) -> Doub
 
 def _flux_form(g: MetricField, x: np.ndarray, ctx: GBCContext) -> DoubleForm:
     """The (n-1, n) double form D~e owedge R^{k-1} owedge b^{n-2k} at x
-    (dense reference of the folded mass kernel)."""
+    (dense reference of the P_k mass contraction of `_flux_integrands`)."""
     _, d1, W = _dense_factors(g, x, ctx)
     return _wedge_tail(d_right_comps(ctx.n, 1, 1, d1), W, ctx)
 
@@ -454,10 +533,12 @@ def _chunk_nodes(n: int, k: int) -> int:
     """Nodes per call of an order-k flux or curvature-center integrand on S^{n-1}.
 
     Such an integrand holds about C(2k, k) n^4 doubles per node (its
-    second-derivative jet, Riemann and kernel arrays are each of order n^4);
-    tracemalloc reads 0.2-2.2 times that from (3,1) to (7,3).  A chunk of
-    `CHUNK_DOUBLES` keeps a pass's temporaries to a few MB at any (n, k), so
-    its peak memory no longer grows with the rule: 69 nodes at (5,2), 33 at
+    second-derivative jet, Riemann, P_k and Q arrays are each of order n^4);
+    tracemalloc reads 0.2-2.1 times that from (3,1) to (8,3), the flux
+    0.2-0.7 times except at (7,3), where its 5-node chunk forms R owedge R
+    whole (2.0 times).  A chunk of `CHUNK_DOUBLES` keeps a pass's
+    temporaries to a few MB at any (n, k), so its peak memory no longer
+    grows with the rule: 69 nodes at (5,2), 33 at
     (6,2), 3 at (8,3), and 512 or more at k = 1, n <= 4.  The integrals
     at k = 1, n <= 4 and the (5,2) mass do not depend on the chunk; the
     (5,2) center and (6,2) fluxes move in the last bits, because some

@@ -363,7 +363,7 @@ def test_chunk_estimate_bounds_the_traced_bytes_per_node():
         peaks = []
         for size in (8, 32):
             x, nu = rule.points[:size], rule.normals[:size]
-            f(x, nu)  # kernels and index tables are built on first use
+            f(x, nu)  # the P_k map and index tables are built on first use
             tracemalloc.start()
             try:
                 f(x, nu)
